@@ -338,6 +338,13 @@ def _get_sim_policy(spec, sys, timing):
     raise SpecError(f"unknown policy type '{raw['type']}'")
 
 
+def _sim_int(raw, key, default):
+    value = raw.get(key, default)
+    _require(value is default or (isinstance(value, int) and not isinstance(value, bool)),
+             f"sim.{key} must be an integer")
+    return value
+
+
 def cmd_simulate(spec, threads) -> list[dict]:
     sys = _get_params(spec)
     timing = derive_timing(sys)
@@ -346,13 +353,17 @@ def cmd_simulate(spec, threads) -> list[dict]:
     raw = spec.get("sim", {})
     _require(isinstance(raw, dict), "'sim' must be an object")
     mode = raw.get("mode", "chain")
-    runs = int(raw.get("runs", 10000))
+    runs = _sim_int(raw, "runs", 10000)
     seed = int(spec.get("master_seed", 0))
     field = None
     if mode == "rlnc":
-        g = int(raw.get("field_g", sys.g))
+        g = _sim_int(raw, "field_g", sys.g)
         _require(1 <= g <= 16, "rlnc simulation needs a field width in [1, 16] (sim.field_g)")
-        field = GaloisField(g, raw.get("polynomial"))
+        polynomial = _sim_int(raw, "polynomial", None)
+        try:
+            field = GaloisField(g, polynomial)
+        except ValueError as bad:
+            raise SpecError(f"invalid sim.polynomial: {bad}") from None
     try:
         cfg = SimConfig(mode=mode, runs=runs, master_seed=seed, field=field)
     except ValueError as bad:

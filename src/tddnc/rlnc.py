@@ -62,32 +62,56 @@ class GaloisField:
                 a ^= self.polynomial
         return acc
 
-    def _order(self, a: int) -> int:
-        x, k = a, 1
-        while x != 1:
-            x = self._mul_slow(x, a)
-            k += 1
-            if k > self.q:
-                raise ValueError("reduction polynomial is not irreducible")
-        return k
+    def _powers(self, c: int, exp: np.ndarray, scratch: np.ndarray, carry: np.ndarray) -> bool:
+        """Fill exp[:q-1] with c**0 .. c**(q-2); False as soon as an early power is 1.
+
+        Doubling: with exp[:s] known, exp[s:2s] = exp[:s] * c**s, one
+        vectorized carry-less multiply (shift, carry out of bit g, xor with
+        the polynomial) per bit of c**s.  `scratch` and `carry` hold the
+        shifted operand and its carries, so no temporaries are allocated.
+        """
+        group, g, poly = self.q - 1, self.g, self.polynomial
+        exp[0] = 1
+        s, cs = 1, c
+        while s < group:
+            n = min(s, group - s)
+            out, a, t = exp[s : s + n], scratch[:n], carry[:n]
+            out[:] = 0
+            a[:] = exp[:n]
+            b = cs
+            while b:
+                if b & 1:
+                    np.bitwise_xor(out, a, out=out)
+                b >>= 1
+                if b:
+                    np.left_shift(a, 1, out=a)
+                    np.right_shift(a, g, out=t)
+                    np.multiply(t, poly, out=t)
+                    np.bitwise_xor(a, t, out=a)
+            if np.equal(out, 1, out=t.view(np.bool_)[:n]).any():
+                return False
+            s, cs = s + n, self._mul_slow(cs, cs)
+        return True
 
     def _build_tables(self):
         group = self.q - 1
-        gen = 1
-        for candidate in range(2, self.q):
-            if self._order(candidate) == group:
-                gen = candidate
-                break
-        self.generator = gen
-        exp = np.zeros(2 * group, dtype=np.int64)
+        exp = np.empty(2 * group, dtype=np.int64)
         log = np.zeros(self.q, dtype=np.int64)
-        x = 1
-        for k in range(group):
-            exp[k] = x
-            log[x] = k
-            x = self._mul_slow(x, gen)
-        if x != 1:
+        # the halves of log are the scratch space of the power fills
+        scratch, carry = log[: self.q // 2], log[self.q // 2 :]
+        # the generator is the first candidate with no 1 among its powers
+        # c**1 .. c**(q-2); then c**(q-1) must be 1, or the ring has zero divisors
+        candidates = range(2, self.q) if self.q > 2 else (1,)
+        gen = next((c for c in candidates if self._powers(c, exp, scratch, carry)), None)
+        if gen is None or self._mul_slow(int(exp[group - 1]), gen) != 1:
             raise ValueError("reduction polynomial is not irreducible")
+        self.generator = gen
+        steps = exp[group:]
+        steps[:] = 1
+        steps[0] = 0
+        np.cumsum(steps, out=steps)  # 0 .. q-2, without a separate arange
+        log[0] = 0  # zero has no log; every other entry is set below
+        log[exp[:group]] = steps
         exp[group:] = exp[:group]  # doubled so products of logs need no modulo
         self._exp = exp
         self._log = log
@@ -212,6 +236,50 @@ class Decoder:
         for pivot, row in zip(self._pivots, self._rows):
             out[pivot] = row[self.M :]
         return out
+
+
+class RankTracker:
+    """Rank of a stream of coefficient vectors, without payloads.
+
+    Completion depends only on how many linearly independent encoding
+    vectors have arrived, so this keeps just the coefficient rows in echelon
+    form: one row per pivot column, scaled so the pivot is 1.  Pass `tables`,
+    memoryviews of the field's exp/log tables, to share them between trackers.
+    """
+
+    def __init__(self, field: GaloisField, M: int, tables=None):
+        if M < 1:
+            raise ValueError("block size must be positive")
+        self.M = M
+        self._group = field.q - 1
+        self._exp, self._log = tables or (memoryview(field._exp), memoryview(field._log))
+        self._rows: dict[int, list[int]] = {}   # pivot column -> row, zero before it
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def absorb(self, coefficients) -> int:
+        """Fold one coefficient vector in; returns 1 if it raised the rank, else 0."""
+        v = [int(c) for c in coefficients]
+        if len(v) != self.M:
+            raise ValueError("coefficient vector length must equal the block size")
+        exp, log, rows = self._exp, self._log, self._rows
+        for p, a in enumerate(v):
+            if not a:
+                continue
+            row = rows.get(p)
+            if row is None:
+                # new pivot: scale by a**-1 so the pivot becomes 1
+                la = self._group - log[a]
+                rows[p] = [exp[la + log[c]] if c else 0 for c in v]
+                return 1
+            la = log[a]
+            for j in range(p, self.M):
+                b = row[j]
+                if b:
+                    v[j] ^= exp[la + log[b]]
+        return 0
 
 
 def pack_bits(data: bytes, n_bits: int, g: int) -> np.ndarray:

@@ -6,8 +6,11 @@ chain     a lost ACK forfeits the round's progress, replicating the analytic
           chain's self-transition exactly;
 physical  the receiver keeps whatever arrived; the transmitter retransmits
           for its stale belief until an ACK gets through;
-rlnc      as physical, but a packet only counts when the finite-field
-          decoder gains rank, so linear-dependence losses are included.
+rlnc      as physical, but a packet only counts when its random encoding
+          vector raises the rank of those received, so linear-dependence
+          losses are included.  Only the rank is tracked (RankTracker): the
+          block is decodable exactly when the coefficient rows reach rank M,
+          so no payload is generated, encoded or decoded.
 
 Every run draws its randomness from a substream keyed by
 (master_seed, run_index) only, so results are bit-identical regardless of
@@ -24,13 +27,10 @@ import numpy as np
 
 from .markov import Policy
 from .params import SystemParams, Timing
-from .rlnc import Decoder, GaloisField, encode
+from .rlnc import GaloisField, RankTracker
+from .rlnc import encode  # noqa: F401  (bench/tracing.py wraps tddnc.simulator.encode)
 
 MODES = ("chain", "physical", "rlnc")
-
-# rlnc-mode payload truncation: decodability depends only on the encoding
-# vectors, so long payloads add nothing to completion statistics.
-MAX_SIM_PAYLOAD_SYMBOLS = 64
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def _run_erasure(policy, Pe, Pe_ack, T_p, T_w, rng, keep_progress):
                 return elapsed, sent, stops
 
 
-def _run_rlnc(policy, Pe, Pe_ack, T_p, T_w, rng, field, block):
-    decoder = Decoder(field, policy.M, block.shape[1])
+def _run_rlnc(policy, Pe, Pe_ack, T_p, T_w, rng, field, tables):
+    tracker = RankTracker(field, policy.M, tables)
     belief = policy.M
     elapsed = 0.0
     sent = 0
@@ -105,10 +105,13 @@ def _run_rlnc(policy, Pe, Pe_ack, T_p, T_w, rng, field, block):
         arrived = rng.random(n) >= Pe
         count = int(arrived.sum())
         if count:
+            # drawn even at full rank, so every run's draw sequence stays fixed
             coeffs = rng.integers(0, field.q, size=(count, policy.M), dtype=np.int64)
-            for row in coeffs:
-                decoder.absorb(encode(field, block, row))
-        deficit = policy.M - decoder.rank
+            for row in coeffs.tolist():
+                if tracker.rank == policy.M:
+                    break
+                tracker.absorb(row)
+        deficit = policy.M - tracker.rank
         if rng.random() >= Pe_ack:
             belief = deficit
             if deficit == 0:
@@ -130,12 +133,10 @@ def run_records(
 
     if cfg.mode == "rlnc":
         field = cfg.field
-        symbols = min(math.ceil(sys.n / field.g), MAX_SIM_PAYLOAD_SYMBOLS)
-        block_rng = _rng_for_run(cfg.master_seed, 2**32)
-        block = block_rng.integers(0, field.q, size=(sys.M, symbols), dtype=np.int64)
+        tables = (memoryview(field._exp), memoryview(field._log))
 
         def one(r):
-            return _run_rlnc(policy, Pe, Pa, T_p, T_w, _rng_for_run(cfg.master_seed, r), field, block)
+            return _run_rlnc(policy, Pe, Pa, T_p, T_w, _rng_for_run(cfg.master_seed, r), field, tables)
 
     else:
         keep = cfg.mode == "physical"

@@ -244,6 +244,20 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
         {"schema_version": 1, "command": "simulate", "params": SATELLITE_PARAMS,
          "policy": {"type": "explicit", "N": [1]}},
     ]
+    bad_sims = [
+        {"mode": "rlnc", "field_g": 8, "polynomial": 256},     # x^8, reducible
+        {"mode": "rlnc", "field_g": 8, "polynomial": 0x11A},   # divisible by x
+        {"mode": "rlnc", "field_g": 8, "polynomial": "0x11b"},
+        {"mode": "rlnc", "field_g": 8, "polynomial": 283.0},
+        {"mode": "rlnc", "field_g": 8, "polynomial": True},
+        {"mode": "rlnc", "field_g": 8.0},
+        {"mode": "rlnc", "field_g": True},
+        {"mode": "chain", "runs": 2.9},
+        {"mode": "chain", "runs": "ten"},
+        {"mode": "chain", "runs": True},
+    ]
+    bad_specs += [{"schema_version": 1, "command": "simulate", "params": SATELLITE_PARAMS,
+                   "sim": {"runs": 5, **sim}} for sim in bad_sims]
     for k, spec in enumerate(bad_specs):
         out = tmp_path / f"no{k}.csv"
         code = main(["--config", _write(tmp_path, spec, f"bad{k}.json"), "--out", str(out)])

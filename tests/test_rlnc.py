@@ -8,6 +8,7 @@ from tddnc.rlnc import (
     CodedPacket,
     Decoder,
     GaloisField,
+    RankTracker,
     encode,
     pack_bits,
     random_coefficients,
@@ -53,6 +54,97 @@ def test_field_rejects_bad_arguments():
         GaloisField(8, polynomial=0x1B)  # degree 4, not 8
     with pytest.raises(ZeroDivisionError):
         GaloisField(4).inv(0)
+
+
+def _clmul_mod(a, b, g, poly):
+    # schoolbook carry-less product, then reduction from the top bit down
+    acc = 0
+    for k in range(g):
+        if b >> k & 1:
+            acc ^= a << k
+    for k in range(2 * g - 2, g - 1, -1):
+        if acc >> k & 1:
+            acc ^= poly << (k - g)
+    return acc
+
+
+def _reference_tables(g, poly):
+    # first element of multiplicative order q-1, found by walking each candidate's powers
+    q = 1 << g
+    for gen in range(2, q) if q > 2 else (1,):
+        powers, x = [1], gen
+        while x != 1 and len(powers) < q:
+            powers.append(x)
+            x = _clmul_mod(x, gen, g, poly)
+        if len(powers) == q - 1 and x == 1:
+            break
+    log = [0] * q
+    for k, x in enumerate(powers):
+        log[x] = k
+    return gen, powers + powers, log
+
+
+def _reducible(poly):
+    # trial division by every polynomial of degree 1 .. deg/2
+    deg = poly.bit_length() - 1
+    for d in range(2, 1 << (deg // 2 + 1)):
+        r = poly
+        while r.bit_length() >= d.bit_length():
+            r ^= d << (r.bit_length() - d.bit_length())
+        if r == 0:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("g, poly", sorted(DEFAULT_POLYNOMIALS.items()) + [(8, 0x11B)])
+def test_field_tables_equal_brute_force_reference(g, poly):
+    f = GaloisField(g, poly)
+    gen, exp, log = _reference_tables(g, poly)
+    assert f.generator == gen
+    assert f._exp.tolist() == exp
+    assert f._log.tolist() == log
+
+
+def test_field_rejects_exactly_the_reducible_polynomials():
+    for g in range(1, 9):
+        for poly in range(1 << g, 1 << (g + 1)):
+            if _reducible(poly):
+                with pytest.raises(ValueError, match="not irreducible"):
+                    GaloisField(g, poly)
+            else:
+                assert GaloisField(g, poly).q == 1 << g
+
+
+@pytest.mark.parametrize("g", [1, 8, 16])
+def test_rank_tracker_rank_equals_decoder_rank(g):
+    f = GaloisField(g)
+    rng = np.random.default_rng([2009, g])
+    for M in range(1, 9):
+        for _ in range(20):
+            tracker, dec = RankTracker(f, M), Decoder(f, M, 0)
+            seen = []
+            for _ in range(3 * M):
+                kind = rng.integers(0, 4)
+                if kind == 0:
+                    row = np.zeros(M, dtype=np.int64)
+                elif kind == 1 and seen:
+                    row = seen[rng.integers(0, len(seen))]
+                elif kind == 2 and len(seen) >= 2:
+                    # a combination of earlier rows: dependent by construction
+                    a, b = (int(c) for c in rng.integers(1, f.q, size=2))
+                    x, y = (seen[i] for i in rng.choice(len(seen), 2, replace=False))
+                    row = f.scale(a, x) ^ f.scale(b, y)
+                else:
+                    row = random_coefficients(f, M, rng)
+                seen.append(row)
+                gained = tracker.absorb(row)
+                assert gained == dec.absorb(CodedPacket(row, np.empty(0, dtype=np.int64)))
+                assert tracker.rank == dec.rank
+
+
+def test_rank_tracker_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        RankTracker(GaloisField(4), 3).absorb([1, 2])
 
 
 def test_encode_unit_vector_projects():

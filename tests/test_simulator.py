@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,23 @@ def test_small_field_needs_more_time_than_byte_field():
     assert mean2 > mean256
     assert abs((mean2 - mean256) - gap_predicted) <= 3 * se
     assert results[1][:, 0].mean() > results[8][:, 0].mean()
+
+
+# sha256 of run_records(...).tobytes(), recorded from the simulator that encoded
+# and decoded payloads: rank-only tracking keeps every run's draws and outcome
+RLNC_RECORD_SHA256 = {
+    1: "378482497a6fd51d707c5c4ed13254cf920c737ec8dee6626a85af7225fe5920",
+    8: "f0a4a2a8d9b02f2f7b27c71b40b663b275a3d3a14c7cbb6f02ef2c31a3c881b1",
+    16: "7990706639bef79ce78b025c69c57e66052e7452274958c71ee41456a9e9fed8",
+}
+
+
+@pytest.mark.parametrize("g", sorted(RLNC_RECORD_SHA256))
+def test_rlnc_records_match_pinned_hashes(g):
+    sys = SystemParams(M=6, n=1000, g=g, h=80, n_ack=100, R=1e6, T_rt=0.01, Pe=0.3, Pe_ack=0.1)
+    cfg = SimConfig(mode="rlnc", runs=300, master_seed=20090419, field=GaloisField(g))
+    rec = run_records(Policy((2, 3, 4, 6, 7, 9)), sys, derive_timing(sys), cfg)
+    assert hashlib.sha256(rec.tobytes()).hexdigest() == RLNC_RECORD_SHA256[g]
 
 
 def test_summarize_single_and_tied_runs():
