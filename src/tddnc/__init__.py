@@ -34,7 +34,7 @@ from .params import (
     packet_erasure,
     with_bit_channel,
 )
-from .rlnc import CodedPacket, Decoder, GaloisField, RankTracker, encode, random_coefficients
+from .rlnc import CodedPacket, Decoder, GaloisField, encode, random_coefficients
 from .simulator import SimConfig, SimResult, run_records, simulate, summarize
 
 __version__ = "0.1.0"

@@ -43,8 +43,8 @@ class GaloisField:
             raise ValueError("coefficient width g must lie in [1, 16]")
         if polynomial is None:
             polynomial = DEFAULT_POLYNOMIALS[g]
-        if polynomial.bit_length() != g + 1:
-            raise ValueError("reduction polynomial must have degree exactly g")
+        if polynomial < 0 or polynomial.bit_length() != g + 1:
+            raise ValueError("reduction polynomial must be positive with degree exactly g")
         self.g = g
         self.q = 1 << g
         self.polynomial = polynomial
@@ -131,11 +131,11 @@ class GaloisField:
 
     def scale(self, a: int, row: np.ndarray) -> np.ndarray:
         """Elementwise a * row over the field."""
-        out = np.zeros_like(row)
         if a == 0:
-            return out
-        nz = row != 0
-        out[nz] = self._exp[self._log[a] + self._log[row[nz]]]
+            return np.zeros_like(row)
+        # log[0] is 0, so zero entries map to a here and are cleared after
+        out = self._exp[self._log[row] + self._log[a]]
+        out[row == 0] = 0
         return out
 
 
@@ -236,50 +236,6 @@ class Decoder:
         for pivot, row in zip(self._pivots, self._rows):
             out[pivot] = row[self.M :]
         return out
-
-
-class RankTracker:
-    """Rank of a stream of coefficient vectors, without payloads.
-
-    Completion depends only on how many linearly independent encoding
-    vectors have arrived, so this keeps just the coefficient rows in echelon
-    form: one row per pivot column, scaled so the pivot is 1.  Pass `tables`,
-    memoryviews of the field's exp/log tables, to share them between trackers.
-    """
-
-    def __init__(self, field: GaloisField, M: int, tables=None):
-        if M < 1:
-            raise ValueError("block size must be positive")
-        self.M = M
-        self._group = field.q - 1
-        self._exp, self._log = tables or (memoryview(field._exp), memoryview(field._log))
-        self._rows: dict[int, list[int]] = {}   # pivot column -> row, zero before it
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def absorb(self, coefficients) -> int:
-        """Fold one coefficient vector in; returns 1 if it raised the rank, else 0."""
-        v = [int(c) for c in coefficients]
-        if len(v) != self.M:
-            raise ValueError("coefficient vector length must equal the block size")
-        exp, log, rows = self._exp, self._log, self._rows
-        for p, a in enumerate(v):
-            if not a:
-                continue
-            row = rows.get(p)
-            if row is None:
-                # new pivot: scale by a**-1 so the pivot becomes 1
-                la = self._group - log[a]
-                rows[p] = [exp[la + log[c]] if c else 0 for c in v]
-                return 1
-            la = log[a]
-            for j in range(p, self.M):
-                b = row[j]
-                if b:
-                    v[j] ^= exp[la + log[b]]
-        return 0
 
 
 def pack_bits(data: bytes, n_bits: int, g: int) -> np.ndarray:

@@ -8,9 +8,10 @@ physical  the receiver keeps whatever arrived; the transmitter retransmits
           for its stale belief until an ACK gets through;
 rlnc      as physical, but a packet only counts when its random encoding
           vector raises the rank of those received, so linear-dependence
-          losses are included.  Only the rank is tracked (RankTracker): the
-          block is decodable exactly when the coefficient rows reach rank M,
-          so no payload is generated, encoded or decoded.
+          losses are included.  Only the rank is tracked: the block is
+          decodable exactly when the coefficient rows reach rank M, so the
+          decoder gets coefficient vectors with no payload, and no block is
+          generated or encoded.
 
 Every run draws its randomness from a substream keyed by
 (master_seed, run_index) only, so results are bit-identical regardless of
@@ -27,7 +28,7 @@ import numpy as np
 
 from .markov import Policy
 from .params import SystemParams, Timing
-from .rlnc import GaloisField, RankTracker
+from .rlnc import CodedPacket, Decoder, GaloisField
 from .rlnc import encode  # noqa: F401  (bench/tracing.py wraps tddnc.simulator.encode)
 
 MODES = ("chain", "physical", "rlnc")
@@ -91,8 +92,9 @@ def _run_erasure(policy, Pe, Pe_ack, T_p, T_w, rng, keep_progress):
                 return elapsed, sent, stops
 
 
-def _run_rlnc(policy, Pe, Pe_ack, T_p, T_w, rng, field, tables):
-    tracker = RankTracker(field, policy.M, tables)
+def _run_rlnc(policy, Pe, Pe_ack, T_p, T_w, rng, field):
+    decoder = Decoder(field, policy.M, 0)
+    no_payload = np.empty(0, dtype=np.int64)
     belief = policy.M
     elapsed = 0.0
     sent = 0
@@ -107,11 +109,11 @@ def _run_rlnc(policy, Pe, Pe_ack, T_p, T_w, rng, field, tables):
         if count:
             # drawn even at full rank, so every run's draw sequence stays fixed
             coeffs = rng.integers(0, field.q, size=(count, policy.M), dtype=np.int64)
-            for row in coeffs.tolist():
-                if tracker.rank == policy.M:
+            for row in coeffs:
+                if decoder.rank == policy.M:
                     break
-                tracker.absorb(row)
-        deficit = policy.M - tracker.rank
+                decoder.absorb(CodedPacket(row, no_payload))
+        deficit = policy.M - decoder.rank
         if rng.random() >= Pe_ack:
             belief = deficit
             if deficit == 0:
@@ -132,11 +134,8 @@ def run_records(
     T_p, T_w = timing.T_p, timing.T_w
 
     if cfg.mode == "rlnc":
-        field = cfg.field
-        tables = (memoryview(field._exp), memoryview(field._log))
-
         def one(r):
-            return _run_rlnc(policy, Pe, Pa, T_p, T_w, _rng_for_run(cfg.master_seed, r), field, tables)
+            return _run_rlnc(policy, Pe, Pa, T_p, T_w, _rng_for_run(cfg.master_seed, r), cfg.field)
 
     else:
         keep = cfg.mode == "physical"

@@ -250,6 +250,7 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
         {"mode": "rlnc", "field_g": 8, "polynomial": "0x11b"},
         {"mode": "rlnc", "field_g": 8, "polynomial": 283.0},
         {"mode": "rlnc", "field_g": 8, "polynomial": True},
+        {"mode": "rlnc", "field_g": 2, "polynomial": -7},
         {"mode": "rlnc", "field_g": 8.0},
         {"mode": "rlnc", "field_g": True},
         {"mode": "chain", "runs": 2.9},

@@ -8,7 +8,6 @@ from tddnc.rlnc import (
     CodedPacket,
     Decoder,
     GaloisField,
-    RankTracker,
     encode,
     pack_bits,
     random_coefficients,
@@ -52,6 +51,9 @@ def test_field_rejects_bad_arguments():
         GaloisField(17)
     with pytest.raises(ValueError):
         GaloisField(8, polynomial=0x1B)  # degree 4, not 8
+    for g, poly in ((2, -7), (8, -283)):
+        with pytest.raises(ValueError):
+            GaloisField(g, polynomial=poly)  # negative, but of bit length g + 1
     with pytest.raises(ZeroDivisionError):
         GaloisField(4).inv(0)
 
@@ -116,35 +118,43 @@ def test_field_rejects_exactly_the_reducible_polynomials():
 
 
 @pytest.mark.parametrize("g", [1, 8, 16])
-def test_rank_tracker_rank_equals_decoder_rank(g):
+def test_scale_equals_elementwise_mul(g):
     f = GaloisField(g)
     rng = np.random.default_rng([2009, g])
+    for _ in range(50):
+        row = rng.integers(0, f.q, size=12, dtype=np.int64)
+        row[rng.random(12) < 0.3] = 0
+        for a in (0, 1, int(rng.integers(1, f.q))):
+            assert f.scale(a, row).tolist() == [f.mul(a, int(x)) for x in row]
+
+
+@pytest.mark.parametrize("g", [1, 8, 16])
+def test_rank_only_decoder_rejects_dependent_rows(g):
+    # zero, repeated and combined rows never raise the rank of a payload-free decoder
+    f = GaloisField(g)
+    rng = np.random.default_rng([2010, g])
+    no_payload = np.empty(0, dtype=np.int64)
     for M in range(1, 9):
         for _ in range(20):
-            tracker, dec = RankTracker(f, M), Decoder(f, M, 0)
-            seen = []
+            dec, seen, gained = Decoder(f, M, 0), [], 0
             for _ in range(3 * M):
                 kind = rng.integers(0, 4)
                 if kind == 0:
-                    row = np.zeros(M, dtype=np.int64)
+                    row, dependent = np.zeros(M, dtype=np.int64), True
                 elif kind == 1 and seen:
-                    row = seen[rng.integers(0, len(seen))]
+                    row, dependent = seen[rng.integers(0, len(seen))], True
                 elif kind == 2 and len(seen) >= 2:
-                    # a combination of earlier rows: dependent by construction
                     a, b = (int(c) for c in rng.integers(1, f.q, size=2))
                     x, y = (seen[i] for i in rng.choice(len(seen), 2, replace=False))
-                    row = f.scale(a, x) ^ f.scale(b, y)
+                    row, dependent = f.scale(a, x) ^ f.scale(b, y), True
                 else:
-                    row = random_coefficients(f, M, rng)
+                    row, dependent = random_coefficients(f, M, rng), False
                 seen.append(row)
-                gained = tracker.absorb(row)
-                assert gained == dec.absorb(CodedPacket(row, np.empty(0, dtype=np.int64)))
-                assert tracker.rank == dec.rank
-
-
-def test_rank_tracker_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        RankTracker(GaloisField(4), 3).absorb([1, 2])
+                delta = dec.absorb(CodedPacket(row, no_payload))
+                if dependent:
+                    assert delta == 0
+                gained += delta
+                assert dec.rank == gained <= M
 
 
 def test_encode_unit_vector_projects():
