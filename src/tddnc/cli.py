@@ -166,6 +166,7 @@ def _get_grid(spec, key, kind=float) -> list:
 
 
 def _parse_scheme(scheme: str):
+    _require(isinstance(scheme, str), f"scheme {scheme!r} must be a string")
     kind, _, arg = scheme.partition(":")
     if kind in ("nc-optimal", "full-duplex", "stop-and-wait"):
         _require(arg == "", f"scheme '{kind}' takes no argument")
@@ -317,22 +318,27 @@ def cmd_compare(spec, threads) -> list[dict]:
     return rows
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bools and floats with an integral value are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _get_sim_policy(spec, sys, timing):
     raw = spec.get("policy", {"type": "optimal"})
     _require(isinstance(raw, dict) and "type" in raw, "'policy' must be an object with a 'type'")
     if raw["type"] == "optimal":
         return optimal_policy(sys, timing).policy, "nc-optimal"
     if raw["type"] == "fixed-window":
-        _require("omega" in raw, "fixed-window policy needs 'omega'")
-        omega = int(raw["omega"])
-        _require(omega >= 1, "omega must be >= 1")
+        omega = raw.get("omega")
+        _require(_is_int(omega) and omega >= 1, "fixed-window policy needs an integer 'omega' >= 1")
         return Policy(tuple(min(i, omega) for i in range(1, sys.M + 1))), f"fixed-window:{omega}"
     if raw["type"] == "explicit":
         _require(isinstance(raw.get("N"), list) and len(raw["N"]) == sys.M,
                  "explicit policy needs an N list of length M")
+        _require(all(_is_int(v) for v in raw["N"]), "explicit policy entries must be integers")
         try:
-            policy = Policy(tuple(int(v) for v in raw["N"]))
-        except (TypeError, ValueError) as bad:
+            policy = Policy(tuple(raw["N"]))
+        except ValueError as bad:
             raise SpecError(f"invalid explicit policy: {bad}") from None
         return policy, "explicit:" + ";".join(str(v) for v in policy.N)
     raise SpecError(f"unknown policy type '{raw['type']}'")
@@ -340,8 +346,7 @@ def _get_sim_policy(spec, sys, timing):
 
 def _sim_int(raw, key, default):
     value = raw.get(key, default)
-    _require(value is default or (isinstance(value, int) and not isinstance(value, bool)),
-             f"sim.{key} must be an integer")
+    _require(value is default or _is_int(value), f"sim.{key} must be an integer")
     return value
 
 
@@ -354,7 +359,8 @@ def cmd_simulate(spec, threads) -> list[dict]:
     _require(isinstance(raw, dict), "'sim' must be an object")
     mode = raw.get("mode", "chain")
     runs = _sim_int(raw, "runs", 10000)
-    seed = int(spec.get("master_seed", 0))
+    seed = spec.get("master_seed", 0)
+    _require(_is_int(seed), "master_seed must be an integer")
     field = None
     if mode == "rlnc":
         g = _sim_int(raw, "field_g", sys.g)

@@ -161,18 +161,8 @@ def fixed_window_completion(omega: int, sys: SystemParams, timing: Timing) -> Co
     """
     if omega < 1:
         raise ValueError("omega must be >= 1")
-    Pe, Pa = sys.Pe, sys.Pe_ack
-    T = [0.0]
-    for i in range(1, sys.M + 1):
-        w = omega if i >= omega else i
-        progress = 1.0 - Pe**w
-        t = (w * timing.T_p + timing.T_w) / ((1.0 - Pa) * progress)
-        acc = 0.0
-        for j in range(1, w + 1):
-            acc += _binom_pmf(j, w, 1.0 - Pe) * T[i - j]
-        T.append(t + acc / progress)
-    bad = tuple(not math.isfinite(t) for t in T)
-    return CompletionProfile(tuple(T), bad)
+    policy = Policy(tuple(min(i, omega) for i in range(1, sys.M + 1)))
+    return expected_completion(policy, sys, timing)
 
 
 def full_duplex_completion(sys: SystemParams, timing: Timing) -> float:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .markov import (
     CompletionProfile,
     Policy,
@@ -12,6 +14,11 @@ from .markov import (
     state_completion_time,
 )
 from .params import BitChannel, SystemParams, Timing, derive_timing, with_bit_channel
+
+_FIRST_BLOCK = 16
+_BLOCK_ENTRIES = 1 << 16
+_RESCORE_REL = 1e-10
+_SCAN_TERMS = 32  # a numpy block costs about as much as this many scalar binomial terms
 
 
 @dataclass(frozen=True)
@@ -51,40 +58,131 @@ class ThroughputPoint:
     policy: Policy
 
 
+def _log_factorials(table, top):
+    """`table`, whose entry m is math.lgamma(m + 1), grown to reach index `top`."""
+    if top < table.size:
+        return table
+    more = (math.lgamma(m + 1) for m in range(table.size, top + 1))
+    return np.concatenate((table, np.fromiter(more, float, top + 1 - table.size)))
+
+
+def _hankel(v, start, rows, cols):
+    """Read-only view of the contiguous float array `v` whose [r, c] is v[start + r + c]."""
+    step = v.itemsize
+    return np.ndarray((rows, cols), v.dtype, v, start * step, (step, step))
+
+
+def _estimates(i, ns, cost, T, Pe, Pa, log_fact):
+    """`state_completion_time(i, N, T, ...)` for the consecutive candidates N > i in `ns`.
+
+    `cost` holds each candidate's round cost N*T_p + T_w and `log_fact[m]`
+    is math.lgamma(m + 1).  The operands and their order match the scalar
+    routine, and Pe**N is Python's own power, so the only difference is
+    np.exp against math.exp in the binomial terms (at most an ulp each).
+    """
+    n0, n1 = int(ns[0]), int(ns[-1]) + 1
+    progress = 1.0 - np.fromiter((Pe**n for n in range(n0, n1)), float, n1 - n0)
+    t = cost / ((1.0 - Pa) * progress)
+    p = 1.0 - Pe
+    if i == 1 or p == 1.0:
+        # no binomial term survives: acc is 0.0, or NaN where a lower T is not finite
+        return t + sum(0.0 * T[j] for j in range(1, i)) / progress
+    # x[c, r]: candidate N = n0 + r enters state j = c + 1 with k = i - 1 - c
+    # arrivals, so N - k = lo + c + r.  x is updated in place: one matrix lives.
+    width, lo = n1 - n0, n0 - i + 1
+    k = np.arange(i - 1, 0, -1)[:, None]
+    x = log_fact[n0:n1] - log_fact[k]
+    x -= _hankel(log_fact, lo, i - 1, width)
+    x += k * math.log(p)
+    x += _hankel(np.arange(lo, n1 - 1) * math.log1p(-p), 0, i - 1, width)
+    np.exp(x, out=x)
+    x *= np.array(T[1:i])[:, None]
+    # a sum over the outer axis adds the rows one by one, in the scalar loop's
+    # order (numpy sums pairwise only along the contiguous axis)
+    return t + x.sum(axis=0) / progress
+
+
+def _first_excluded(reach, best_t, start):
+    """First index from `start` on whose bound is not below `best_t`, else len(reach).
+
+    `reach` is nondecreasing, so the entries below `best_t` form a prefix;
+    a NaN bound is never below it.
+    """
+    start = max(start, 0)
+    return start + int(np.count_nonzero(reach[start:] < best_t))
+
+
 def optimal_policy(sys: SystemParams, timing: Timing) -> OptimalPolicyResult:
     """Minimize expected completion time with M one-dimensional integer searches.
 
     The time from deficit i depends on lower states only, so each N_i is
-    optimized given the already-minimized T_1..T_{i-1}.  The search starts
-    at N = i and stops once no improvement has appeared for
-    max(10, ceil(3/(1-Pe))) consecutive candidates: beyond the minimum the
-    N*T_p term grows linearly while the success probability saturates.  A
-    hard cap guards pathological parameters.  Ties break toward smaller N.
+    optimized given the already-minimized T_1..T_{i-1}.  Every round costs
+    N*T_p + T_w and leaves state i with probability at most 1 - Pe_ack, so
+    the state lasts at least 1/(1 - Pe_ack) rounds on average and
+
+        T_i(N) >= (N*T_p + T_w) / (1 - Pe_ack),
+
+    a bound that grows with N.  The search runs upward from N = i and stops
+    at the first N above the best so far where this bound reaches the best
+    T_i: no larger N can do better, so the minimum is proven and nothing is
+    tuned.  That N is reported as the search bound.  Ties break toward
+    smaller N.
+
+    The first max(1, 32 // i) candidates are scored with the scalar
+    `state_completion_time`: a call costs about i binomial terms, a numpy
+    block about 32, so short searches stay scalar.  Further N are
+    estimated with numpy in blocks of 16 that double up to about 2**16
+    matrix entries.  Every candidate within 1e-10 relative of a block's
+    minimum estimate is re-scored with the scalar routine, and the winner
+    and its T_i come from those scalar values, so policies and profiles are
+    exactly those of a scalar search.  The block sizes and the 32 set only
+    the speed.
     """
-    Pe, Pa = sys.Pe, sys.Pe_ack
-    stall_window = max(10, math.ceil(3.0 / (1.0 - Pe)))
+    with np.errstate(all="ignore"):  # overflow and 0*inf behave as in the scalar routine
+        return _search(sys.M, sys.Pe, sys.Pe_ack, timing.T_p, timing.T_w)
+
+
+def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
+    # log-factorials up to the largest N this search reaches, first filled to
+    # M + _FIRST_BLOCK so that the states' first blocks do not each grow it
+    log_fact = np.zeros(0)
     T: list[float] = [0.0]
     sizes: list[int] = []
     bounds: list[int] = []
-    for i in range(1, sys.M + 1):
-        cap = math.ceil(10.0 * (i + 10) / (1.0 - Pe))
-        best_t = math.inf
-        best_n = i
-        last_improved = i
-        n = i
-        for n in range(i, cap + 1):
-            t = state_completion_time(i, n, T, Pe, Pa, timing.T_p, timing.T_w)
+    for i in range(1, M + 1):
+        best_t, best_n = state_completion_time(i, i, T, Pe, Pa, T_p, T_w), i
+        n, scan_end = i + 1, i + max(1, _SCAN_TERMS // i)
+        while n < scan_end and (n * T_p + T_w) / (1.0 - Pa) < best_t:
+            t = state_completion_time(i, n, T, Pe, Pa, T_p, T_w)
             if t < best_t:
-                best_t, best_n, last_improved = t, n, n
-            elif n - last_improved >= stall_window:
-                break
+                best_t, best_n = t, n
+            n += 1
+        stopped = not (n * T_p + T_w) / (1.0 - Pa) < best_t
+        width = _FIRST_BLOCK
+        widest = max(_FIRST_BLOCK, _BLOCK_ENTRIES // max(1, i - 1))
+        while not stopped:
+            ns = np.arange(n, n + width)
+            cost = ns * T_p + T_w
+            reach = cost / (1.0 - Pa)
+            live = _first_excluded(reach, best_t, 0)
+            if live:
+                log_fact = _log_factorials(log_fact, max(n + live - 1, M + _FIRST_BLOCK))
+                est = _estimates(i, ns[:live], cost[:live], T, Pe, Pa, log_fact)
+                low = np.fmin.reduce(est)  # skips NaN
+                if low < math.inf:
+                    for r in (est <= low + low * _RESCORE_REL).nonzero()[0].tolist():
+                        t = state_completion_time(i, n + r, T, Pe, Pa, T_p, T_w)
+                        if t < best_t:
+                            best_t, best_n = t, n + r
+            stop = _first_excluded(reach, best_t, best_n + 1 - n)
+            stopped = stop < width
+            n, width = n + min(stop, width), min(2 * width, widest)
         sizes.append(best_n)
         bounds.append(n)
         T.append(best_t)
-    policy = Policy(tuple(sizes))
     return OptimalPolicyResult(
-        policy=policy,
-        profile=expected_completion(policy, sys, timing),
+        policy=Policy(tuple(sizes)),
+        profile=CompletionProfile(tuple(T), tuple(not math.isfinite(t) for t in T)),
         search_bounds_used=tuple(bounds),
     )
 

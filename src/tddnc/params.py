@@ -45,10 +45,10 @@ class SystemParams:
             raise ValueError("h must be non-negative")
         if self.n_ack < 1:
             raise ValueError("n_ack must be a positive number of bits")
-        if not self.R > 0:
-            raise ValueError("R must be a positive rate")
-        if self.T_rt < 0:
-            raise ValueError("T_rt must be non-negative")
+        if not 0 < self.R < math.inf:
+            raise ValueError("R must be a positive finite rate")
+        if not 0 <= self.T_rt < math.inf:
+            raise ValueError("T_rt must be non-negative and finite")
         if not 0.0 <= self.Pe < 1.0:
             raise ValueError("Pe must lie in [0, 1)")
         if not 0.0 <= self.Pe_ack < 1.0:

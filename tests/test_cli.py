@@ -243,7 +243,18 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
          "schemes": ["sr:10"], "metric": "completion"},
         {"schema_version": 1, "command": "simulate", "params": SATELLITE_PARAMS,
          "policy": {"type": "explicit", "N": [1]}},
+        {"schema_version": 1, "command": "simulate", "params": SATELLITE_PARAMS,
+         "policy": {"type": "explicit", "N": [1.5] + list(range(2, 11))}},
+        {"schema_version": 1, "command": "simulate", "params": SATELLITE_PARAMS,
+         "policy": {"type": "fixed-window", "omega": "x"}},
+        {"schema_version": 1, "command": "compare", "params": SATELLITE_PARAMS,
+         "schemes": [5]},
+        {"schema_version": 1, "command": "policy", "params": {**SATELLITE_PARAMS, "R": 1e400}},
+        {"schema_version": 1, "command": "policy",
+         "params": {**SATELLITE_PARAMS, "T_rt": float("nan")}},
     ]
+    bad_specs += [{"schema_version": 1, "command": "simulate", "params": SATELLITE_PARAMS,
+                   "sim": {"runs": 5}, "master_seed": seed} for seed in (7.9, True, "5")]
     bad_sims = [
         {"mode": "rlnc", "field_g": 8, "polynomial": 256},     # x^8, reducible
         {"mode": "rlnc", "field_g": 8, "polynomial": 0x11A},   # divisible by x

@@ -5,7 +5,12 @@ import pytest
 from scipy.special import lambertw as scipy_lambertw
 
 from chain_oracle import joint_search
-from tddnc.markov import Policy, expected_completion, fixed_window_completion
+from tddnc.markov import (
+    Policy,
+    expected_completion,
+    fixed_window_completion,
+    state_completion_time,
+)
 from tddnc.optimizer import (
     ArqParams,
     arq_timing,
@@ -63,6 +68,42 @@ def test_optimal_policy_reports_search_bounds():
     res = optimal_policy(sys, derive_timing(sys))
     assert len(res.search_bounds_used) == sys.M
     assert all(b >= n for b, n in zip(res.search_bounds_used, res.policy.N))
+
+
+def _bounded_scalar_search(M, Pe, Pe_ack, T_p, T_w):
+    """One scalar evaluation per N, from N = i until (N*T_p + T_w)/(1 - Pe_ack) reaches the best."""
+    T, sizes = [0.0], []
+    for i in range(1, M + 1):
+        best_t, best_n, n = math.inf, i, i
+        while True:
+            t = state_completion_time(i, n, T, Pe, Pe_ack, T_p, T_w)
+            if t < best_t:
+                best_t, best_n = t, n
+            n += 1
+            if not (n * T_p + T_w) / (1.0 - Pe_ack) < best_t:
+                break
+        sizes.append(best_n)
+        T.append(best_t)
+    return tuple(sizes), tuple(T)
+
+
+def test_optimal_policy_equals_bounded_scalar_search():
+    rng = np.random.default_rng(2009)
+    levels = [0.0, 1e-17, 1e-12, 0.99]
+    for k in range(160):
+        pe = levels[k] if k < len(levels) else float(rng.uniform(0.0, 0.99))
+        pe_ack = float(rng.uniform(0.0, 0.5))
+        ratio = float(10 ** rng.uniform(-3, 5))
+        M = int(rng.integers(1, 31))
+        t = Timing(T_p=1e-3, T_ack=0.0, T_w=ratio * 1e-3)
+        res = optimal_policy(_sys(M=M, Pe=pe, Pe_ack=pe_ack), t)
+        N, T = _bounded_scalar_search(M, pe, pe_ack, t.T_p, t.T_w)
+        assert res.policy.N == N, (M, pe, pe_ack, ratio)
+        assert res.profile.T == T, (M, pe, pe_ack, ratio)
+        assert res.profile.T == expected_completion(res.policy, _sys(M=M, Pe=pe, Pe_ack=pe_ack), t).T
+        for i, bound in enumerate(res.search_bounds_used, 1):
+            assert bound > N[i - 1]
+            assert (bound * t.T_p + t.T_w) / (1.0 - pe_ack) >= T[i]
 
 
 def test_optimal_policy_beats_fixed_windows():
