@@ -125,13 +125,15 @@ def _get_params(spec) -> SystemParams:
     known = {"M", "n", "g", "h", "n_ack", "R", "T_rt", "Pe", "Pe_ack"}
     unknown = set(raw) - known
     _require(not unknown, f"unknown params keys: {sorted(unknown)}")
+    for key in ("M", "n", "g", "h", "n_ack"):
+        _require(key not in raw or _is_int(raw[key]), f"params.{key} must be an integer")
     try:
         sys = SystemParams(
-            M=int(raw["M"]),
-            n=int(raw["n"]),
-            g=int(raw["g"]),
-            h=int(raw.get("h", 0)),
-            n_ack=int(raw["n_ack"]),
+            M=raw["M"],
+            n=raw["n"],
+            g=raw["g"],
+            h=raw.get("h", 0),
+            n_ack=raw["n_ack"],
             R=float(raw["R"]),
             T_rt=float(raw.get("T_rt", 0.0)),
             Pe=float(raw.get("Pe", 0.0)),

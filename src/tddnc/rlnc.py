@@ -1,4 +1,4 @@
-"""Random linear network coding over GF(2**g): field tables, encoder, rank-tracking decoder."""
+"""Random linear network coding over GF(2**g): field tables, encoder, rank-tracking decoder, echelon form."""
 
 from __future__ import annotations
 
@@ -181,9 +181,13 @@ def encode(
 class Decoder:
     """Incremental Gaussian elimination over received packets, tracking received dofs.
 
-    Rows are kept fully reduced (pivots normalized to 1 and eliminated from
-    every other row), so once rank reaches M the payload columns hold the
-    decoded block directly.
+    The basis is kept in echelon form, keyed by pivot column: the row held
+    at pivot p has zeros left of p and a 1 at p.  `absorb` reduces a new
+    coefficient vector against the held pivots only, with scalar log/antilog
+    lookups over Python ints, and never touches an older row again, so the
+    rank is known after every packet.  Payloads stay numpy rows and are
+    reduced alongside only when the decoder carries payload symbols.
+    `decode` back-substitutes once, from the last pivot up.
     """
 
     def __init__(self, field: GaloisField, M: int, payload_symbols: int):
@@ -194,47 +198,68 @@ class Decoder:
         self.field = field
         self.M = M
         self.payload_symbols = payload_symbols
-        self._rows: list[np.ndarray] = []   # coefficient part + payload part
-        self._pivots: list[int] = []        # pivot column of each row, ascending
+        # views, not list copies: a copy of the g = 16 tables costs several MB
+        self._exp = memoryview(field._exp)
+        self._log = memoryview(field._log)
+        self._rows: list[list[int] | None] = [None] * M          # coefficients by pivot
+        self._payloads: list[np.ndarray | None] = [None] * M     # payload by pivot
+        self._rank = 0
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return self._rank
 
     def absorb(self, packet: CodedPacket) -> int:
         """Fold one packet into the basis; returns 1 if it carried a new dof, else 0."""
-        if packet.coefficients.shape != (self.M,):
+        M, q = self.M, self.field.q
+        if packet.coefficients.shape != (M,):
             raise ValueError("packet block size mismatch")
         if packet.payload.shape != (self.payload_symbols,):
             raise ValueError("packet payload length mismatch")
-        v = np.concatenate([packet.coefficients, packet.payload]).astype(np.int64)
-        for pivot, row in zip(self._pivots, self._rows):
-            a = int(v[pivot])
-            if a:
-                v ^= self.field.scale(a, row)
-        nz = np.nonzero(v[: self.M])[0]
-        if nz.size == 0:
-            return 0
-        pivot = int(nz[0])
-        v = self.field.scale(self.field.inv(int(v[pivot])), v)
-        for k, row in enumerate(self._rows):
-            a = int(row[pivot])
-            if a:
-                self._rows[k] = row ^ self.field.scale(a, v)
-        at = 0
-        while at < len(self._pivots) and self._pivots[at] < pivot:
-            at += 1
-        self._pivots.insert(at, pivot)
-        self._rows.insert(at, v)
-        return 1
+        v = packet.coefficients.tolist()
+        if min(v) < 0 or max(v) >= q:
+            raise ValueError("packet coefficients must lie in [0, q)")
+        payload = None
+        if self.payload_symbols:
+            payload = packet.payload
+            if payload.min() < 0 or payload.max() >= q:
+                raise ValueError("packet payload symbols must lie in [0, q)")
+        exp, log, rows = self._exp, self._log, self._rows
+        for col in range(M):
+            a = v[col]
+            if not a:
+                continue
+            row = rows[col]
+            if row is None:
+                # first free pivot: normalize it to 1 and hold the row there
+                inv = q - 1 - log[a]
+                rows[col] = [0] * col + [exp[log[x] + inv] if x else 0 for x in v[col:]]
+                if payload is not None:
+                    self._payloads[col] = self.field.scale(exp[inv], payload)
+                self._rank += 1
+                return 1
+            la = log[a]
+            for k in range(col + 1, M):
+                r = row[k]
+                if r:
+                    v[k] ^= exp[log[r] + la]
+            if payload is not None:
+                payload = payload ^ self.field.scale(a, self._payloads[col])
+        return 0
 
     def decode(self) -> np.ndarray:
         """The original (M, symbols) block; requires full rank."""
         if self.rank < self.M:
             raise ValueError("decoding requires rank M")
         out = np.zeros((self.M, self.payload_symbols), dtype=np.int64)
-        for pivot, row in zip(self._pivots, self._rows):
-            out[pivot] = row[self.M :]
+        if not self.payload_symbols:
+            return out
+        for p in range(self.M - 1, -1, -1):
+            row, x = self._rows[p], self._payloads[p].copy()
+            for k in range(p + 1, self.M):
+                if row[k]:
+                    x ^= self.field.scale(row[k], out[k])
+            out[p] = x
         return out
 
 

@@ -255,6 +255,10 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
     ]
     bad_specs += [{"schema_version": 1, "command": "simulate", "params": SATELLITE_PARAMS,
                    "sim": {"runs": 5}, "master_seed": seed} for seed in (7.9, True, "5")]
+    bad_params = [{"M": True, "n": 1000.9}, {"M": True}, {"n": 1000.9}, {"g": 100.0},
+                  {"h": False}, {"n_ack": "100"}]
+    bad_specs += [{"schema_version": 1, "command": "policy",
+                   "params": {**SATELLITE_PARAMS, **params}} for params in bad_params]
     bad_sims = [
         {"mode": "rlnc", "field_g": 8, "polynomial": 256},     # x^8, reducible
         {"mode": "rlnc", "field_g": 8, "polynomial": 0x11A},   # divisible by x

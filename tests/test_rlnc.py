@@ -157,6 +157,83 @@ def test_rank_only_decoder_rejects_dependent_rows(g):
                 assert dec.rank == gained <= M
 
 
+def _reference_rank(rows, g, poly):
+    # Gaussian elimination from scratch with schoolbook products, independent of the field tables
+    def inv(a):
+        out, e = 1, (1 << g) - 2   # a**(q-2)
+        while e:
+            if e & 1:
+                out = _clmul_mod(out, a, g, poly)
+            a, e = _clmul_mod(a, a, g, poly), e >> 1
+        return out
+
+    basis = []   # (pivot column, row with a 1 there)
+    for row in rows:
+        v = [int(x) for x in row]
+        for pivot, b in basis:
+            if v[pivot]:
+                a = v[pivot]
+                v = [x ^ _clmul_mod(a, y, g, poly) for x, y in zip(v, b)]
+        nz = [k for k, x in enumerate(v) if x]
+        if nz:
+            s = inv(v[nz[0]])
+            basis.append((nz[0], [_clmul_mod(s, x, g, poly) for x in v]))
+    return len(basis)
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8, 16])
+def test_decoder_matches_reference_elimination(g):
+    f = GaloisField(g)
+    rng = np.random.default_rng([2011, g])
+    for M in (1, 2, 3, 6, 10):
+        for _ in range(3):
+            block = rng.integers(0, f.q, size=(M, 5), dtype=np.int64)
+            dec, seen = Decoder(f, M, 5), []
+            for step in range(2 * M + 2):
+                kind = step % 4 if seen else 3
+                if kind == 0:
+                    row = np.zeros(M, dtype=np.int64)
+                elif kind == 1:
+                    row = seen[rng.integers(0, len(seen))]
+                elif kind == 2:
+                    a, b = (int(c) for c in rng.integers(0, f.q, size=2))
+                    x, y = (seen[i] for i in rng.integers(0, len(seen), size=2))
+                    row = np.array([_clmul_mod(a, int(u), g, f.polynomial)
+                                    ^ _clmul_mod(b, int(w), g, f.polynomial)
+                                    for u, w in zip(x, y)], dtype=np.int64)
+                else:
+                    row = random_coefficients(f, M, rng)
+                before = dec.rank
+                seen.append(row)
+                delta = dec.absorb(encode(f, block, row))
+                assert dec.rank == before + delta == _reference_rank(seen, g, f.polynomial)
+                held = [(p, r) for p, r in enumerate(dec._rows) if r is not None]
+                assert len(held) == dec.rank
+                for p, r in held:
+                    assert r[p] == 1 and not any(r[:p])
+            while _reference_rank(seen, g, f.polynomial) < M:
+                seen.append(random_coefficients(f, M, rng))
+            for order in (range(len(seen)), rng.permutation(len(seen))):
+                dec = Decoder(f, M, 5)
+                for k in order:
+                    dec.absorb(encode(f, block, seen[k]))
+                assert dec.rank == M
+                assert np.array_equal(dec.decode(), block)
+
+
+def test_absorb_rejects_symbols_outside_the_field():
+    f = GaloisField(8)
+    dec = Decoder(f, 3, 2)
+    ok = np.array([0, 0], dtype=np.int64)
+    for coefficients, payload in (([-1, 0, 0], ok), ([0, 256, 0], ok),
+                                  ([1, 0, 0], [0, -1]), ([1, 0, 0], [256, 0])):
+        with pytest.raises(ValueError, match=r"\[0, q\)"):
+            dec.absorb(CodedPacket(coefficients, payload))
+    assert dec.rank == 0
+    with pytest.raises(ValueError, match=r"\[0, q\)"):
+        Decoder(f, 3, 0).absorb(CodedPacket([-1, 0, 0], np.empty(0, dtype=np.int64)))
+
+
 def test_encode_unit_vector_projects():
     f = GaloisField(8)
     rng = np.random.default_rng(5)
@@ -289,7 +366,7 @@ def test_payload_corruption_breaks_round_trip():
     dec = Decoder(f, 4, 6)
     while dec.rank < 4:
         dec.absorb(encode(f, block, rng=rng))
-    dec._rows[2][4 + 3] ^= 0x55
+    dec._payloads[2][3] ^= 0x55  # payload symbol 3 of the row held at pivot 2
     assert not np.array_equal(dec.decode(), block)
 
 
