@@ -2,8 +2,8 @@
 
 A run is described by a JSON config (see README for the schema) and emitted
 as CSV or JSON rows.  Output is byte-deterministic for a given config:
-fixed column order, fixed float formatting, declared grid order regardless
-of --threads.
+fixed column order, fixed float formatting, declared grid order.  Sweep cells
+and simulation runs are computed one after another.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .markov import (
@@ -119,12 +117,15 @@ def _require(cond, message):
         raise SpecError(message)
 
 
+def _check_keys(raw, known, where):
+    unknown = sorted(set(raw) - known)
+    _require(not unknown, f"unknown {where} keys: {unknown}")
+
+
 def _get_params(spec) -> SystemParams:
     raw = spec.get("params")
     _require(isinstance(raw, dict), "config must carry a 'params' object")
-    known = {"M", "n", "g", "h", "n_ack", "R", "T_rt", "Pe", "Pe_ack"}
-    unknown = set(raw) - known
-    _require(not unknown, f"unknown params keys: {sorted(unknown)}")
+    _check_keys(raw, {"M", "n", "g", "h", "n_ack", "R", "T_rt", "Pe", "Pe_ack"}, "params")
     for key in ("M", "n", "g", "h", "n_ack"):
         _require(key not in raw or _is_int(raw[key]), f"params.{key} must be an integer")
     try:
@@ -161,10 +162,9 @@ def _get_bit_channel(spec) -> BitChannel:
 def _get_grid(spec, key, kind=float) -> list:
     raw = spec.get(key)
     _require(isinstance(raw, list) and len(raw) > 0, f"'{key}' must be a non-empty list")
-    try:
-        return [kind(v) for v in raw]
-    except (TypeError, ValueError):
-        raise SpecError(f"'{key}' entries must be {kind.__name__}s") from None
+    _require(all(_is_int(v) or (kind is float and isinstance(v, float)) for v in raw),
+             f"'{key}' entries must be JSON {'integers' if kind is int else 'numbers'}")
+    return [kind(v) for v in raw]
 
 
 def _parse_scheme(scheme: str):
@@ -211,13 +211,6 @@ def _scheme_rows(scheme, sys, timing, metric, pe_bit, fd_time) -> list[dict]:
     return [_row(scheme, "T_M_seconds", t_block, sys, ratio=ratio, pe_bit=pe_bit, omega=omega)]
 
 
-def _map_ordered(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _get_metric(spec, default, allowed=("completion", "eta")) -> str:
     metric = spec.get("metric", default)
     _require(metric in allowed, f"metric must be one of {allowed}")
@@ -232,7 +225,7 @@ def _get_schemes(spec, default=None) -> list[str]:
     return schemes
 
 
-def cmd_policy(spec, threads) -> list[dict]:
+def cmd_policy(spec) -> list[dict]:
     sys = _get_params(spec)
     timing = derive_timing(sys)
     pe_bit = _get_bit_channel(spec).Pe_bit if "bit_channel" in spec else None
@@ -246,68 +239,64 @@ def cmd_policy(spec, threads) -> list[dict]:
     return rows
 
 
-def cmd_sweep_pe(spec, threads) -> list[dict]:
-    _require("bit_channel" not in spec, "sweep-pe sets Pe directly; bit_channel is not allowed")
+def cmd_sweep_pe(spec) -> list[dict]:
     base = _get_params(spec)
     grid = _get_grid(spec, "pe_grid", float)
     metric = _get_metric(spec, "completion")
     schemes = _get_schemes(spec)
-
-    def cell(pe):
+    rows = []
+    for pe in grid:
         try:
             sys = replace(base, Pe=pe)
         except ValueError as bad:
             raise SpecError(f"invalid Pe {pe}: {bad}") from None
         timing = derive_timing(sys)
         fd = full_duplex_completion(sys, timing) if metric == "completion" else None
-        out = []
         for s in schemes:
-            out.extend(_scheme_rows(s, sys, timing, metric, None, fd))
-        return out
-
-    return [row for part in _map_ordered(cell, grid, threads) for row in part]
+            rows.extend(_scheme_rows(s, sys, timing, metric, None, fd))
+    return rows
 
 
-def _sweep_eta_grid(spec, threads, cells, make_sys) -> list[dict]:
+def _sweep_eta_grid(spec, cells, make_sys) -> list[dict]:
     bc = _get_bit_channel(spec)
     schemes = _get_schemes(spec, default=["nc-optimal"])
     for s in schemes:
         kind, _ = _parse_scheme(s)
         _require(kind in ("nc-optimal", "full-duplex"),
                  f"eta sweeps support nc-optimal and full-duplex, not '{s}'")
-
-    def cell(point):
-        sys = with_bit_channel(make_sys(point), bc)
+    rows = []
+    for point in cells:
+        try:
+            sys = with_bit_channel(make_sys(point), bc)
+        except ValueError as bad:
+            raise SpecError(f"invalid grid point {point}: {bad}") from None
         timing = derive_timing(sys)
-        out = []
         for s in schemes:
-            out.extend(_scheme_rows(s, sys, timing, "eta", bc.Pe_bit, None))
-        return out
-
-    return [row for part in _map_ordered(cell, cells, threads) for row in part]
+            rows.extend(_scheme_rows(s, sys, timing, "eta", bc.Pe_bit, None))
+    return rows
 
 
-def cmd_sweep_n(spec, threads) -> list[dict]:
+def cmd_sweep_n(spec) -> list[dict]:
     base = _get_params({"params": spec.get("params")})
     grid = _get_grid(spec, "n_grid", int)
-    return _sweep_eta_grid(spec, threads, grid, lambda n: replace(base, n=n))
+    return _sweep_eta_grid(spec, grid, lambda n: replace(base, n=n))
 
 
-def cmd_sweep_m(spec, threads) -> list[dict]:
+def cmd_sweep_m(spec) -> list[dict]:
     base = _get_params({"params": spec.get("params")})
     grid = _get_grid(spec, "m_grid", int)
-    return _sweep_eta_grid(spec, threads, grid, lambda m: replace(base, M=m))
+    return _sweep_eta_grid(spec, grid, lambda m: replace(base, M=m))
 
 
-def cmd_sweep_joint(spec, threads) -> list[dict]:
+def cmd_sweep_joint(spec) -> list[dict]:
     base = _get_params({"params": spec.get("params")})
     n_grid = _get_grid(spec, "n_grid", int)
     m_grid = _get_grid(spec, "m_grid", int)
     cells = [(m, n) for m in m_grid for n in n_grid]
-    return _sweep_eta_grid(spec, threads, cells, lambda mn: replace(base, M=mn[0], n=mn[1]))
+    return _sweep_eta_grid(spec, cells, lambda mn: replace(base, M=mn[0], n=mn[1]))
 
 
-def cmd_compare(spec, threads) -> list[dict]:
+def cmd_compare(spec) -> list[dict]:
     sys = _get_params(spec)
     timing = derive_timing(sys)
     pe_bit = _get_bit_channel(spec).Pe_bit if "bit_channel" in spec else None
@@ -352,7 +341,7 @@ def _sim_int(raw, key, default):
     return value
 
 
-def cmd_simulate(spec, threads) -> list[dict]:
+def cmd_simulate(spec) -> list[dict]:
     sys = _get_params(spec)
     timing = derive_timing(sys)
     pe_bit = _get_bit_channel(spec).Pe_bit if "bit_channel" in spec else None
@@ -360,6 +349,8 @@ def cmd_simulate(spec, threads) -> list[dict]:
     raw = spec.get("sim", {})
     _require(isinstance(raw, dict), "'sim' must be an object")
     mode = raw.get("mode", "chain")
+    _check_keys(raw, {"mode", "runs"} | ({"field_g", "polynomial"} if mode == "rlnc" else set()),
+                f"sim ({mode} mode)")
     runs = _sim_int(raw, "runs", 10000)
     seed = spec.get("master_seed", 0)
     _require(_is_int(seed), "master_seed must be an integer")
@@ -376,7 +367,7 @@ def cmd_simulate(spec, threads) -> list[dict]:
         cfg = SimConfig(mode=mode, runs=runs, master_seed=seed, field=field)
     except ValueError as bad:
         raise SpecError(f"invalid sim config: {bad}") from None
-    result = simulate(policy, sys, timing, cfg, threads=max(threads, 1))
+    result = simulate(policy, sys, timing, cfg)
     analytic = expected_completion(policy, sys, timing).T_M
     tag = dict(sys=sys, pe_bit=pe_bit, sim_mode=mode, sim_runs=runs, seed=seed)
     return [
@@ -388,25 +379,28 @@ def cmd_simulate(spec, threads) -> list[dict]:
     ]
 
 
+# each command with the top-level keys it reads, besides schema_version and command
 _DISPATCH = {
-    "policy": cmd_policy,
-    "sweep-pe": cmd_sweep_pe,
-    "sweep-n": cmd_sweep_n,
-    "sweep-m": cmd_sweep_m,
-    "sweep-joint": cmd_sweep_joint,
-    "compare": cmd_compare,
-    "simulate": cmd_simulate,
+    "policy": (cmd_policy, {"params", "bit_channel"}),
+    "sweep-pe": (cmd_sweep_pe, {"params", "pe_grid", "metric", "schemes"}),
+    "sweep-n": (cmd_sweep_n, {"params", "bit_channel", "n_grid", "schemes"}),
+    "sweep-m": (cmd_sweep_m, {"params", "bit_channel", "m_grid", "schemes"}),
+    "sweep-joint": (cmd_sweep_joint, {"params", "bit_channel", "n_grid", "m_grid", "schemes"}),
+    "compare": (cmd_compare, {"params", "bit_channel", "metric", "schemes"}),
+    "simulate": (cmd_simulate, {"params", "bit_channel", "policy", "sim", "master_seed"}),
 }
 
 
-def run_spec(spec: dict, threads: int = 1) -> list[dict]:
+def run_spec(spec: dict) -> list[dict]:
     """Validate a config object and produce its output rows."""
     _require(isinstance(spec, dict), "config must be a JSON object")
     _require(spec.get("schema_version") == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}")
     command = spec.get("command")
     _require(command in COMMANDS, f"command must be one of {COMMANDS}")
-    return _DISPATCH[command](spec, threads)
+    cmd, keys = _DISPATCH[command]
+    _check_keys(spec, keys | {"schema_version", "command"}, "top-level")
+    return cmd(spec)
 
 
 def render_csv(rows: list[dict]) -> str:
@@ -430,12 +424,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run specification")
     parser.add_argument("--out", help="output path (stdout when omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, help="override the config's master_seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps/simulation; 0 = auto")
+    parser.add_argument("--seed", type=int,
+                        help="override a simulate config's master_seed; other commands take no seed")
+    parser.add_argument("--threads", type=int,
+                        help="accepted and ignored: sweep cells and simulation runs are serial")
     args = parser.parse_args(argv)
 
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     try:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -446,8 +440,9 @@ def main(argv=None) -> int:
             raise SpecError(f"config is not valid JSON: {bad}") from None
         if args.seed is not None:
             _require(args.seed >= 0, "--seed must be non-negative")
-            spec["master_seed"] = args.seed
-        rows = run_spec(spec, threads)
+            if isinstance(spec, dict) and spec.get("command") == "simulate":
+                spec["master_seed"] = args.seed
+        rows = run_spec(spec)
         text = render_csv(rows) if args.format == "csv" else render_json(spec["command"], rows)
     except SpecError as err:
         print(json.dumps({"error": "invalid-spec", "message": str(err)}), file=_sys.stderr)

@@ -294,27 +294,12 @@ def eta_sr(sys: SystemParams, timing_arq: Timing, arq: ArqParams) -> float:
     return arq.W * sys.n * (1.0 - sys.Pe) / cycle
 
 
-def _optimized_eta(sys: SystemParams, bc: BitChannel) -> tuple[float, Policy]:
-    s = with_bit_channel(sys, bc)
-    timing = derive_timing(s)
-    result = optimal_policy(s, timing)
-    return eta(s, timing, result.policy), result.policy
-
-
 def optimize_packet_bits(sys: SystemParams, bc: BitChannel, n_range) -> ThroughputPoint:
     """Best payload size in `n_range` at fixed M; erasures track n through the bit channel.
 
     Ties break toward the smaller n.
     """
-    candidates = sorted({int(v) for v in n_range})
-    if not candidates:
-        raise ValueError("n_range must be non-empty")
-    best: ThroughputPoint | None = None
-    for n in candidates:
-        e, policy = _optimized_eta(replace(sys, n=n), bc)
-        if best is None or e > best.eta:
-            best = ThroughputPoint(n=n, M=sys.M, eta=e, policy=policy)
-    return best
+    return optimize_joint(sys, bc, n_range, [sys.M])
 
 
 def optimize_block_size(sys: SystemParams, bc: BitChannel, M_range) -> ThroughputPoint:
@@ -322,15 +307,7 @@ def optimize_block_size(sys: SystemParams, bc: BitChannel, M_range) -> Throughpu
 
     Ties break toward the smaller M.
     """
-    candidates = sorted({int(v) for v in M_range})
-    if not candidates:
-        raise ValueError("M_range must be non-empty")
-    best: ThroughputPoint | None = None
-    for m in candidates:
-        e, policy = _optimized_eta(replace(sys, M=m), bc)
-        if best is None or e > best.eta:
-            best = ThroughputPoint(n=sys.n, M=m, eta=e, policy=policy)
-    return best
+    return optimize_joint(sys, bc, [sys.n], M_range)
 
 
 def optimize_joint(sys: SystemParams, bc: BitChannel, n_range, M_range) -> ThroughputPoint:
@@ -345,7 +322,10 @@ def optimize_joint(sys: SystemParams, bc: BitChannel, n_range, M_range) -> Throu
     best: ThroughputPoint | None = None
     for m in m_candidates:
         for n in n_candidates:
-            e, policy = _optimized_eta(replace(sys, M=m, n=n), bc)
+            s = with_bit_channel(replace(sys, M=m, n=n), bc)
+            timing = derive_timing(s)
+            policy = optimal_policy(s, timing).policy
+            e = eta(s, timing, policy)
             if best is None or e > best.eta:
                 best = ThroughputPoint(n=n, M=m, eta=e, policy=policy)
     return best

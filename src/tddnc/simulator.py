@@ -13,15 +13,14 @@ rlnc      as physical, but a packet only counts when its random encoding
           decoder gets coefficient vectors with no payload, and no block is
           generated or encoded.
 
-Every run draws its randomness from a substream keyed by
-(master_seed, run_index) only, so results are bit-identical regardless of
-execution order or parallelism.
+Runs execute one after another.  Every run draws its randomness from a
+substream keyed by (master_seed, run_index) only, so a run's result does not
+depend on the runs before it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +124,6 @@ def run_records(
     sys: SystemParams,
     timing: Timing,
     cfg: SimConfig,
-    threads: int = 1,
 ) -> np.ndarray:
     """Per-run records, shape (runs, 3): completion seconds, packets sent, stops."""
     if policy.M != sys.M:
@@ -143,15 +141,7 @@ def run_records(
         def one(r):
             return _run_erasure(policy, Pe, Pa, T_p, T_w, _rng_for_run(cfg.master_seed, r), keep)
 
-    if threads == 1 or cfg.runs < 2:
-        rows = [one(r) for r in range(cfg.runs)]
-    else:
-        chunk = max(64, cfg.runs // (threads * 8))
-        spans = [(lo, min(lo + chunk, cfg.runs)) for lo in range(0, cfg.runs, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(lambda span: [one(r) for r in range(*span)], spans)
-            rows = [row for part in chunks for row in part]
-    return np.asarray(rows, dtype=np.float64)
+    return np.asarray([one(r) for r in range(cfg.runs)], dtype=np.float64)
 
 
 def summarize(records: np.ndarray, timing: Timing) -> SimResult:
@@ -180,7 +170,6 @@ def simulate(
     sys: SystemParams,
     timing: Timing,
     cfg: SimConfig,
-    threads: int = 1,
 ) -> SimResult:
     """Run the protocol cfg.runs times and summarize completion statistics."""
-    return summarize(run_records(policy, sys, timing, cfg, threads=threads), timing)
+    return summarize(run_records(policy, sys, timing, cfg), timing)

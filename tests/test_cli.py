@@ -212,6 +212,16 @@ def test_seed_flag_overrides_config(tmp_path):
     assert open(a).read() != open(b).read()
 
 
+def test_seed_flag_on_specs_without_a_seed(tmp_path):
+    spec = {"schema_version": 1, "command": "policy", "params": SATELLITE_PARAMS}
+    cfg = _write(tmp_path, spec)
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert main(["--config", cfg, "--out", a]) == 0
+    assert main(["--config", cfg, "--out", b, "--seed", "5"]) == 0
+    assert open(a).read() == open(b).read()
+    assert main(["--config", _write(tmp_path, [spec], "list.json"), "--seed", "5"]) == 2
+
+
 def test_json_format_is_deterministic(tmp_path):
     spec = {
         "schema_version": 1,
@@ -271,9 +281,36 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
         {"mode": "chain", "runs": 2.9},
         {"mode": "chain", "runs": "ten"},
         {"mode": "chain", "runs": True},
+        {"mode": "chain", "field_g": 8},                       # read in rlnc mode only
+        {"mode": "rlnc", "field_g": 8, "seed": 3},
     ]
     bad_specs += [{"schema_version": 1, "command": "simulate", "params": SATELLITE_PARAMS,
                    "sim": {"runs": 5, **sim}} for sim in bad_sims]
+    eta_sweep = {"params": SATELLITE_PARAMS, "bit_channel": {"Pe_bit": 1e-5}}
+    pe_sweep = {"command": "sweep-pe", "params": SATELLITE_PARAMS, "schemes": ["nc-optimal"]}
+    bad_grids = [
+        {"command": "sweep-n", **eta_sweep, "n_grid": [1000.9]},
+        {"command": "sweep-n", **eta_sweep, "n_grid": [True]},
+        {"command": "sweep-n", **eta_sweep, "n_grid": ["1000"]},
+        {"command": "sweep-m", **eta_sweep, "m_grid": [2.0]},
+        {"command": "sweep-m", **eta_sweep, "m_grid": [0]},
+        {"command": "sweep-n", **eta_sweep, "n_grid": [-5]},
+        {"command": "sweep-joint", **eta_sweep, "n_grid": [1000], "m_grid": [False]},
+        {**pe_sweep, "pe_grid": ["0.5"]},
+        {**pe_sweep, "pe_grid": [False]},
+        {**pe_sweep, "pe_grid": [0.1, None]},
+    ]
+    unknown_keys = [
+        {"command": "compare", "params": SATELLITE_PARAMS, "schemes": ["nc-optimal"],
+         "metrics": "completion"},
+        {"command": "compare", "params": SATELLITE_PARAMS, "schemes": ["nc-optimal"],
+         "pe_grid": [0.1]},
+        {"command": "policy", "params": SATELLITE_PARAMS, "master_seed": 5},
+        {**pe_sweep, "pe_grid": [0.1], "bit_channel": {"Pe_bit": 1e-5}},
+        {"command": "sweep-n", **eta_sweep, "n_grid": [1000], "metric": "eta"},
+        {"command": "simulate", "params": SATELLITE_PARAMS, "sim": {"runs": 5}, "runs": 5},
+    ]
+    bad_specs += [{"schema_version": 1, **spec} for spec in bad_grids + unknown_keys]
     for k, spec in enumerate(bad_specs):
         out = tmp_path / f"no{k}.csv"
         code = main(["--config", _write(tmp_path, spec, f"bad{k}.json"), "--out", str(out)])

@@ -79,14 +79,6 @@ def test_repeated_calls_are_bit_identical():
     assert simulate(policy, sys, t, cfg) == simulate(policy, sys, t, cfg)
 
 
-def test_thread_count_does_not_change_results():
-    sys = _sys(M=4, Pe=0.3, Pe_ack=0.01)
-    t = derive_timing(sys)
-    policy = Policy((2, 3, 5, 6))
-    cfg = SimConfig(mode="chain", runs=1500, master_seed=123)
-    assert simulate(policy, sys, t, cfg, threads=1) == simulate(policy, sys, t, cfg, threads=8)
-
-
 def test_seed_changes_results():
     sys = _sys(M=4, Pe=0.3, Pe_ack=0.01)
     t = derive_timing(sys)
