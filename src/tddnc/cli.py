@@ -1,9 +1,10 @@
 """JSON-driven command line: policies, scheme sweeps and comparisons, simulation.
 
 A run is described by a JSON config (see README for the schema) and emitted
-as CSV or JSON rows.  Output is byte-deterministic for a given config:
-fixed column order, fixed float formatting, declared grid order.  Sweep cells
-and simulation runs are computed one after another.
+as CSV or JSON rows.  A config is validated in full, every key and every grid
+cell, before any computation starts.  Output is byte-deterministic for a
+given config: fixed column order, fixed float formatting, declared grid
+order.  Sweep cells and simulation runs are computed one after another.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import sys as _sys
 from dataclasses import replace
+from functools import partial
 
 from .markov import (
     Policy,
@@ -26,8 +28,6 @@ from .rlnc import GaloisField
 from .simulator import SimConfig, simulate
 
 SCHEMA_VERSION = 1
-
-COMMANDS = ("policy", "sweep-pe", "sweep-n", "sweep-m", "sweep-joint", "compare", "simulate")
 
 COLUMNS = (
     "scheme",
@@ -112,124 +112,204 @@ def _row(scheme, metric, value, sys=None, *, state=None, ratio=None, pe_bit=None
     return cells
 
 
-def _require(cond, message):
-    if not cond:
-        raise SpecError(message)
+# Every object a spec can hold is read through a table: key -> (kind, default).
+# A key that is absent takes its default; an explicit null is never a default.
+# The tables hold kinds only; value ranges are checked by the dataclasses built
+# from them (SystemParams, BitChannel, Policy, SimConfig, GaloisField, ...).
+REQUIRED = object()
+INT, NUM, STR, OBJ = "integer", "number", "string", "object"
+SEED = "seed"       # an integer of the 64-bit seed range, which SimConfig checks
+INT_BOUND = 2**53   # integers a float holds exactly
+
+_KINDS = {
+    INT: (lambda v: type(v) is int and abs(v) <= INT_BOUND, "an integer of magnitude at most 2**53"),
+    SEED: (lambda v: type(v) is int and abs(v) < 2**64, "an integer below 2**64"),
+    NUM: (lambda v: type(v) in (int, float), "a number"),
+    STR: (lambda v: type(v) is str, "a string"),
+    OBJ: (lambda v: type(v) is dict, "an object"),
+}
+
+_SPEC = {"schema_version": (INT, REQUIRED), "command": (STR, REQUIRED), "params": (OBJ, REQUIRED)}
+_ETA_SWEEP = {**_SPEC, "bit_channel": (OBJ, REQUIRED), "schemes": ([STR], ["nc-optimal"])}
+_COMMANDS = {
+    "policy": {**_SPEC, "bit_channel": (OBJ, None)},
+    "sweep-pe": {**_SPEC, "pe_grid": ([NUM], REQUIRED), "metric": (STR, "completion"),
+                 "schemes": ([STR], REQUIRED)},
+    "sweep-n": {**_ETA_SWEEP, "n_grid": ([INT], REQUIRED)},
+    "sweep-m": {**_ETA_SWEEP, "m_grid": ([INT], REQUIRED)},
+    "sweep-joint": {**_ETA_SWEEP, "n_grid": ([INT], REQUIRED), "m_grid": ([INT], REQUIRED)},
+    "compare": {**_SPEC, "bit_channel": (OBJ, None), "metric": (STR, "eta"),
+                "schemes": ([STR], REQUIRED)},
+    "simulate": {**_SPEC, "bit_channel": (OBJ, None), "policy": (OBJ, {"type": "optimal"}),
+                 "sim": (OBJ, {}), "master_seed": (SEED, 0)},
+}
+COMMANDS = tuple(_COMMANDS)
+
+_PARAMS = {"M": (INT, REQUIRED), "n": (INT, REQUIRED), "g": (INT, REQUIRED), "h": (INT, 0),
+           "n_ack": (INT, REQUIRED), "R": (NUM, REQUIRED), "T_rt": (NUM, 0.0),
+           "Pe": (NUM, 0.0), "Pe_ack": (NUM, 0.0)}
+_BIT_CHANNEL = {"Pe_bit": (NUM, REQUIRED)}
+_POLICIES = {
+    "optimal": {"type": (STR, REQUIRED)},
+    "fixed-window": {"type": (STR, REQUIRED), "omega": (INT, REQUIRED)},
+    "explicit": {"type": (STR, REQUIRED), "N": ([INT], REQUIRED)},
+}
+_CHAIN_SIM = {"mode": (STR, "chain"), "runs": (INT, 10000)}
+# field_g defaults to params.g and polynomial to the field's default polynomial
+_SIMS = {"chain": _CHAIN_SIM, "physical": _CHAIN_SIM,
+         "rlnc": {**_CHAIN_SIM, "field_g": (INT, None), "polynomial": (INT, None)}}
 
 
-def _check_keys(raw, known, where):
-    unknown = sorted(set(raw) - known)
-    _require(not unknown, f"unknown {where} keys: {unknown}")
-
-
-def _get_params(spec) -> SystemParams:
-    raw = spec.get("params")
-    _require(isinstance(raw, dict), "config must carry a 'params' object")
-    _check_keys(raw, {"M", "n", "g", "h", "n_ack", "R", "T_rt", "Pe", "Pe_ack"}, "params")
-    for key in ("M", "n", "g", "h", "n_ack"):
-        _require(key not in raw or _is_int(raw[key]), f"params.{key} must be an integer")
+def _value(value, kind, where):
+    """One value of a kind; a list kind `[k]` is a non-empty list of k."""
+    if isinstance(kind, list):
+        if type(value) is not list or not value:
+            raise SpecError(f"{where} must be a non-empty list of {kind[0]}s")
+        return [_value(v, kind[0], f"{where}[{k}]") for k, v in enumerate(value)]
+    test, what = _KINDS[kind]
+    if not test(value):
+        raise SpecError(f"{where} must be {what}")
+    if kind != NUM:
+        return value
     try:
-        sys = SystemParams(
-            M=raw["M"],
-            n=raw["n"],
-            g=raw["g"],
-            h=raw.get("h", 0),
-            n_ack=raw["n_ack"],
-            R=float(raw["R"]),
-            T_rt=float(raw.get("T_rt", 0.0)),
-            Pe=float(raw.get("Pe", 0.0)),
-            Pe_ack=float(raw.get("Pe_ack", 0.0)),
-        )
-    except KeyError as missing:
-        raise SpecError(f"params is missing required key {missing}") from None
-    except (TypeError, ValueError) as bad:
-        raise SpecError(f"invalid params: {bad}") from None
-    if "bit_channel" in spec:
-        bc = _get_bit_channel(spec)
-        sys = with_bit_channel(sys, bc)
-    return sys
+        return float(value)
+    except OverflowError:
+        raise SpecError(f"{where} is too large for a float") from None
 
 
-def _get_bit_channel(spec) -> BitChannel:
-    raw = spec.get("bit_channel")
-    _require(isinstance(raw, dict) and "Pe_bit" in raw, "bit_channel must be an object with Pe_bit")
+def _read(raw, tables, where, tag=None, default=REQUIRED) -> dict:
+    """The object `raw` read through its table: `tables` itself, or the one its `tag` picks."""
+    if type(raw) is not dict:
+        raise SpecError(f"{where} must be a JSON object")
+    table = tables
+    if tag is not None:
+        choice = raw.get(tag, default)
+        if not isinstance(choice, str) or choice not in tables:
+            raise SpecError(f"{where}.{tag} must be one of {tuple(tables)}")
+        table = tables[choice]
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise SpecError(f"unknown {where} keys: {unknown}")
+    out = {}
+    for key, (kind, fallback) in table.items():
+        if key in raw:
+            out[key] = _value(raw[key], kind, f"{where}.{key}")
+        elif fallback is REQUIRED:
+            raise SpecError(f"{where} is missing required key '{key}'")
+        else:
+            out[key] = fallback
+    return out
+
+
+def _scheme(label: str):
+    """A scheme string as (label, kind, argument); stop-and-wait is fixed-window:1."""
+    kind, colon, arg = label.partition(":")
+    if not colon and kind in ("nc-optimal", "full-duplex"):
+        return label, kind, None
+    if label == "stop-and-wait":
+        return label, "fixed-window", 1
+    # an argument of more digits than int() converts raises ValueError, an invalid spec
+    if (kind in ("fixed-window", "gbn", "sr") and arg.isascii() and arg.isdigit()
+            and 1 <= int(arg) <= INT_BOUND):
+        return label, kind, int(arg)
+    raise SpecError(f"unknown scheme '{label}' (an argument is 1 to 2**53 in ASCII digits)")
+
+
+def _parse(spec):
+    """Check a whole spec and build its value objects before any computation.
+
+    Returns the computation as a callable that produces the output rows.
+    """
+    top = _read(spec, _COMMANDS, "config", tag="command")
+    if top["schema_version"] != SCHEMA_VERSION:
+        raise SpecError(f"schema_version must be {SCHEMA_VERSION}")
+    command, metric = top["command"], top.get("metric", "eta")
+    if metric not in ("completion", "eta"):
+        raise SpecError("metric must be one of ('completion', 'eta')")
     try:
-        return BitChannel(Pe_bit=float(raw["Pe_bit"]))
-    except (TypeError, ValueError) as bad:
-        raise SpecError(f"invalid bit_channel: {bad}") from None
+        base = SystemParams(**_read(top["params"], _PARAMS, "params"))
+        raw_bc = top.get("bit_channel")
+        bc = None if raw_bc is None else BitChannel(**_read(raw_bc, _BIT_CHANNEL, "bit_channel"))
+        cells = [replace(base, M=m, n=n, Pe=pe) for m in top.get("m_grid", [base.M])
+                 for n in top.get("n_grid", [base.n]) for pe in top.get("pe_grid", [base.Pe])]
+        if bc is not None:
+            cells = [with_bit_channel(sys, bc) for sys in cells]
+        pe_bit = None if bc is None else bc.Pe_bit
+        schemes = [_scheme(s) for s in top.get("schemes", [])]
+        if command == "policy":
+            return partial(_policy_rows, cells[0], pe_bit)
+        if command == "simulate":
+            return partial(_simulate_rows, cells[0], pe_bit, *_sim_policy(top["policy"], base.M),
+                           _sim_config(top["sim"], top["master_seed"], base.g))
+    except ValueError as bad:   # a value the dataclasses reject
+        raise SpecError(f"invalid spec: {bad}") from None
+    eta_sweep = command in ("sweep-n", "sweep-m", "sweep-joint")
+    for label, kind, _ in schemes:
+        if kind in ("gbn", "sr") and metric != "eta":
+            raise SpecError(f"scheme '{label}' only supports the eta metric")
+        if eta_sweep and kind not in ("nc-optimal", "full-duplex"):
+            raise SpecError(f"eta sweeps support nc-optimal and full-duplex, not '{label}'")
+    return partial(_sweep_rows, cells, schemes, metric, pe_bit)
 
 
-def _get_grid(spec, key, kind=float) -> list:
-    raw = spec.get(key)
-    _require(isinstance(raw, list) and len(raw) > 0, f"'{key}' must be a non-empty list")
-    _require(all(_is_int(v) or (kind is float and isinstance(v, float)) for v in raw),
-             f"'{key}' entries must be JSON {'integers' if kind is int else 'numbers'}")
-    return [kind(v) for v in raw]
+def _sim_policy(raw, M):
+    """(Policy, label) of a simulate spec; (None, label) for the optimal policy."""
+    raw = _read(raw, _POLICIES, "policy", tag="type")
+    if raw["type"] == "optimal":
+        return None, "nc-optimal"
+    if raw["type"] == "fixed-window":
+        return (Policy(tuple(min(i, raw["omega"]) for i in range(1, M + 1))),
+                f"fixed-window:{raw['omega']}")
+    if len(raw["N"]) != M:
+        raise SpecError("explicit policy needs an N list of length M")
+    return Policy(tuple(raw["N"])), "explicit:" + ";".join(str(v) for v in raw["N"])
 
 
-def _parse_scheme(scheme: str):
-    _require(isinstance(scheme, str), f"scheme {scheme!r} must be a string")
-    kind, _, arg = scheme.partition(":")
-    if kind in ("nc-optimal", "full-duplex", "stop-and-wait"):
-        _require(arg == "", f"scheme '{kind}' takes no argument")
-        return kind, None
-    if kind in ("fixed-window", "gbn", "sr"):
-        try:
-            value = int(arg)
-        except ValueError:
-            raise SpecError(f"scheme '{scheme}' needs an integer argument") from None
-        _require(value >= 1, f"scheme '{scheme}' argument must be >= 1")
-        return kind, value
-    raise SpecError(f"unknown scheme '{scheme}'")
+def _sim_config(raw, seed, g) -> SimConfig:
+    raw = _read(raw, _SIMS, "sim", tag="mode", default="chain")
+    field = None
+    if raw["mode"] == "rlnc":
+        field = GaloisField(g if raw["field_g"] is None else raw["field_g"], raw["polynomial"])
+    return SimConfig(mode=raw["mode"], runs=raw["runs"], master_seed=seed, field=field)
 
 
-def _scheme_rows(scheme, sys, timing, metric, pe_bit, fd_time) -> list[dict]:
-    """One output row for one scheme at one parameter point."""
-    kind, arg = _parse_scheme(scheme)
-    omega = window = None
-    if kind in ("nc-optimal", "fixed-window", "stop-and-wait"):
+def _scheme_row(scheme, sys, timing, metric, pe_bit, fd_time) -> dict:
+    """The output row of one scheme at one parameter point."""
+    label, kind, arg = scheme
+    if kind in ("gbn", "sr"):
+        arq = ArqParams(W=arg, packet_bits=sys.h + sys.n)
+        t_arq = arq_timing(sys, arq)
+        value = eta_gbn(sys, t_arq, arq) if kind == "gbn" else eta_sr(sys, t_arq, arq)
+        return _row(label, "eta_bps", value, sys, pe_bit=pe_bit, window=arg)
+    if kind == "full-duplex":
+        t_block = full_duplex_completion(sys, timing)
+    else:
         if kind == "nc-optimal":
             profile = optimal_policy(sys, timing).profile
         else:
-            omega = 1 if kind == "stop-and-wait" else arg
-            profile = fixed_window_completion(omega, sys, timing)
-        t_block = profile.T_M
+            profile = fixed_window_completion(arg, sys, timing)
         if not profile.finite:
-            raise NonFiniteError(f"completion time for '{scheme}' is not finite")
-    elif kind == "full-duplex":
-        t_block = full_duplex_completion(sys, timing)
-    else:  # gbn / sr
-        _require(metric == "eta", f"scheme '{scheme}' only supports the eta metric")
-        window = arg
-        arq = ArqParams(W=window, packet_bits=sys.h + sys.n)
-        t_arq = arq_timing(sys, arq)
-        value = eta_gbn(sys, t_arq, arq) if kind == "gbn" else eta_sr(sys, t_arq, arq)
-        return [_row(scheme, "eta_bps", value, sys, pe_bit=pe_bit, window=window)]
+            raise NonFiniteError(f"completion time for '{label}' is not finite")
+        t_block = profile.T_M
+    omega = arg if kind == "fixed-window" else None
     if metric == "eta":
-        return [_row(scheme, "eta_bps", sys.M * sys.n / t_block, sys, pe_bit=pe_bit, omega=omega)]
+        return _row(label, "eta_bps", sys.M * sys.n / t_block, sys, pe_bit=pe_bit, omega=omega)
     ratio = None if fd_time is None else t_block / fd_time
-    return [_row(scheme, "T_M_seconds", t_block, sys, ratio=ratio, pe_bit=pe_bit, omega=omega)]
+    return _row(label, "T_M_seconds", t_block, sys, ratio=ratio, pe_bit=pe_bit, omega=omega)
 
 
-def _get_metric(spec, default, allowed=("completion", "eta")) -> str:
-    metric = spec.get("metric", default)
-    _require(metric in allowed, f"metric must be one of {allowed}")
-    return metric
+def _sweep_rows(cells, schemes, metric, pe_bit) -> list[dict]:
+    """Every scheme at every cell, schemes nested inside cells: sweeps and compare."""
+    rows = []
+    for sys in cells:
+        timing = derive_timing(sys)
+        fd = full_duplex_completion(sys, timing) if metric == "completion" else None
+        rows.extend(_scheme_row(s, sys, timing, metric, pe_bit, fd) for s in schemes)
+    return rows
 
 
-def _get_schemes(spec, default=None) -> list[str]:
-    schemes = spec.get("schemes", default)
-    _require(isinstance(schemes, list) and len(schemes) > 0, "'schemes' must be a non-empty list")
-    for s in schemes:
-        _parse_scheme(s)
-    return schemes
-
-
-def cmd_policy(spec) -> list[dict]:
-    sys = _get_params(spec)
-    timing = derive_timing(sys)
-    pe_bit = _get_bit_channel(spec).Pe_bit if "bit_channel" in spec else None
-    result = optimal_policy(sys, timing)
+def _policy_rows(sys, pe_bit) -> list[dict]:
+    result = optimal_policy(sys, derive_timing(sys))
     rows = []
     for i in range(1, sys.M + 1):
         rows.append(_row("nc-optimal", "N_i", result.policy.N[i - 1], sys, state=i, pe_bit=pe_bit))
@@ -239,137 +319,13 @@ def cmd_policy(spec) -> list[dict]:
     return rows
 
 
-def cmd_sweep_pe(spec) -> list[dict]:
-    base = _get_params(spec)
-    grid = _get_grid(spec, "pe_grid", float)
-    metric = _get_metric(spec, "completion")
-    schemes = _get_schemes(spec)
-    rows = []
-    for pe in grid:
-        try:
-            sys = replace(base, Pe=pe)
-        except ValueError as bad:
-            raise SpecError(f"invalid Pe {pe}: {bad}") from None
-        timing = derive_timing(sys)
-        fd = full_duplex_completion(sys, timing) if metric == "completion" else None
-        for s in schemes:
-            rows.extend(_scheme_rows(s, sys, timing, metric, None, fd))
-    return rows
-
-
-def _sweep_eta_grid(spec, cells, make_sys) -> list[dict]:
-    bc = _get_bit_channel(spec)
-    schemes = _get_schemes(spec, default=["nc-optimal"])
-    for s in schemes:
-        kind, _ = _parse_scheme(s)
-        _require(kind in ("nc-optimal", "full-duplex"),
-                 f"eta sweeps support nc-optimal and full-duplex, not '{s}'")
-    rows = []
-    for point in cells:
-        try:
-            sys = with_bit_channel(make_sys(point), bc)
-        except ValueError as bad:
-            raise SpecError(f"invalid grid point {point}: {bad}") from None
-        timing = derive_timing(sys)
-        for s in schemes:
-            rows.extend(_scheme_rows(s, sys, timing, "eta", bc.Pe_bit, None))
-    return rows
-
-
-def cmd_sweep_n(spec) -> list[dict]:
-    base = _get_params({"params": spec.get("params")})
-    grid = _get_grid(spec, "n_grid", int)
-    return _sweep_eta_grid(spec, grid, lambda n: replace(base, n=n))
-
-
-def cmd_sweep_m(spec) -> list[dict]:
-    base = _get_params({"params": spec.get("params")})
-    grid = _get_grid(spec, "m_grid", int)
-    return _sweep_eta_grid(spec, grid, lambda m: replace(base, M=m))
-
-
-def cmd_sweep_joint(spec) -> list[dict]:
-    base = _get_params({"params": spec.get("params")})
-    n_grid = _get_grid(spec, "n_grid", int)
-    m_grid = _get_grid(spec, "m_grid", int)
-    cells = [(m, n) for m in m_grid for n in n_grid]
-    return _sweep_eta_grid(spec, cells, lambda mn: replace(base, M=mn[0], n=mn[1]))
-
-
-def cmd_compare(spec) -> list[dict]:
-    sys = _get_params(spec)
+def _simulate_rows(sys, pe_bit, policy, label, cfg) -> list[dict]:
     timing = derive_timing(sys)
-    pe_bit = _get_bit_channel(spec).Pe_bit if "bit_channel" in spec else None
-    metric = _get_metric(spec, "eta")
-    schemes = _get_schemes(spec)
-    fd = full_duplex_completion(sys, timing) if metric == "completion" else None
-    rows = []
-    for s in schemes:
-        rows.extend(_scheme_rows(s, sys, timing, metric, pe_bit, fd))
-    return rows
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: bools and floats with an integral value are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _get_sim_policy(spec, sys, timing):
-    raw = spec.get("policy", {"type": "optimal"})
-    _require(isinstance(raw, dict) and "type" in raw, "'policy' must be an object with a 'type'")
-    if raw["type"] == "optimal":
-        return optimal_policy(sys, timing).policy, "nc-optimal"
-    if raw["type"] == "fixed-window":
-        omega = raw.get("omega")
-        _require(_is_int(omega) and omega >= 1, "fixed-window policy needs an integer 'omega' >= 1")
-        return Policy(tuple(min(i, omega) for i in range(1, sys.M + 1))), f"fixed-window:{omega}"
-    if raw["type"] == "explicit":
-        _require(isinstance(raw.get("N"), list) and len(raw["N"]) == sys.M,
-                 "explicit policy needs an N list of length M")
-        _require(all(_is_int(v) for v in raw["N"]), "explicit policy entries must be integers")
-        try:
-            policy = Policy(tuple(raw["N"]))
-        except ValueError as bad:
-            raise SpecError(f"invalid explicit policy: {bad}") from None
-        return policy, "explicit:" + ";".join(str(v) for v in policy.N)
-    raise SpecError(f"unknown policy type '{raw['type']}'")
-
-
-def _sim_int(raw, key, default):
-    value = raw.get(key, default)
-    _require(value is default or _is_int(value), f"sim.{key} must be an integer")
-    return value
-
-
-def cmd_simulate(spec) -> list[dict]:
-    sys = _get_params(spec)
-    timing = derive_timing(sys)
-    pe_bit = _get_bit_channel(spec).Pe_bit if "bit_channel" in spec else None
-    policy, label = _get_sim_policy(spec, sys, timing)
-    raw = spec.get("sim", {})
-    _require(isinstance(raw, dict), "'sim' must be an object")
-    mode = raw.get("mode", "chain")
-    _check_keys(raw, {"mode", "runs"} | ({"field_g", "polynomial"} if mode == "rlnc" else set()),
-                f"sim ({mode} mode)")
-    runs = _sim_int(raw, "runs", 10000)
-    seed = spec.get("master_seed", 0)
-    _require(_is_int(seed), "master_seed must be an integer")
-    field = None
-    if mode == "rlnc":
-        g = _sim_int(raw, "field_g", sys.g)
-        _require(1 <= g <= 16, "rlnc simulation needs a field width in [1, 16] (sim.field_g)")
-        polynomial = _sim_int(raw, "polynomial", None)
-        try:
-            field = GaloisField(g, polynomial)
-        except ValueError as bad:
-            raise SpecError(f"invalid sim.polynomial: {bad}") from None
-    try:
-        cfg = SimConfig(mode=mode, runs=runs, master_seed=seed, field=field)
-    except ValueError as bad:
-        raise SpecError(f"invalid sim config: {bad}") from None
+    if policy is None:
+        policy = optimal_policy(sys, timing).policy
     result = simulate(policy, sys, timing, cfg)
     analytic = expected_completion(policy, sys, timing).T_M
-    tag = dict(sys=sys, pe_bit=pe_bit, sim_mode=mode, sim_runs=runs, seed=seed)
+    tag = dict(sys=sys, pe_bit=pe_bit, sim_mode=cfg.mode, sim_runs=cfg.runs, seed=cfg.master_seed)
     return [
         _row(label, "sim_mean_seconds", result.mean_completion, **tag),
         _row(label, "sim_stderr_seconds", result.stderr, **tag),
@@ -379,28 +335,9 @@ def cmd_simulate(spec) -> list[dict]:
     ]
 
 
-# each command with the top-level keys it reads, besides schema_version and command
-_DISPATCH = {
-    "policy": (cmd_policy, {"params", "bit_channel"}),
-    "sweep-pe": (cmd_sweep_pe, {"params", "pe_grid", "metric", "schemes"}),
-    "sweep-n": (cmd_sweep_n, {"params", "bit_channel", "n_grid", "schemes"}),
-    "sweep-m": (cmd_sweep_m, {"params", "bit_channel", "m_grid", "schemes"}),
-    "sweep-joint": (cmd_sweep_joint, {"params", "bit_channel", "n_grid", "m_grid", "schemes"}),
-    "compare": (cmd_compare, {"params", "bit_channel", "metric", "schemes"}),
-    "simulate": (cmd_simulate, {"params", "bit_channel", "policy", "sim", "master_seed"}),
-}
-
-
 def run_spec(spec: dict) -> list[dict]:
-    """Validate a config object and produce its output rows."""
-    _require(isinstance(spec, dict), "config must be a JSON object")
-    _require(spec.get("schema_version") == SCHEMA_VERSION,
-             f"schema_version must be {SCHEMA_VERSION}")
-    command = spec.get("command")
-    _require(command in COMMANDS, f"command must be one of {COMMANDS}")
-    cmd, keys = _DISPATCH[command]
-    _check_keys(spec, keys | {"schema_version", "command"}, "top-level")
-    return cmd(spec)
+    """Validate a whole config object, then produce its output rows."""
+    return _parse(spec)()
 
 
 def render_csv(rows: list[dict]) -> str:
@@ -436,10 +373,11 @@ def main(argv=None) -> int:
                 spec = json.load(fh)
         except OSError as bad:
             raise SpecError(f"cannot read config: {bad}") from None
-        except json.JSONDecodeError as bad:
+        except (ValueError, RecursionError) as bad:  # also too many digits or too deep
             raise SpecError(f"config is not valid JSON: {bad}") from None
         if args.seed is not None:
-            _require(args.seed >= 0, "--seed must be non-negative")
+            if args.seed < 0:
+                raise SpecError("--seed must be non-negative")
             if isinstance(spec, dict) and spec.get("command") == "simulate":
                 spec["master_seed"] = args.seed
         rows = run_spec(spec)

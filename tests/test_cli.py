@@ -1,8 +1,12 @@
+import copy
 import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tddnc import cli
 from tddnc.cli import main, render_csv, run_spec
 from tddnc.markov import Policy, expected_completion
 from tddnc.params import SystemParams, derive_timing
@@ -311,6 +315,35 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
         {"command": "simulate", "params": SATELLITE_PARAMS, "sim": {"runs": 5}, "runs": 5},
     ]
     bad_specs += [{"schema_version": 1, **spec} for spec in bad_grids + unknown_keys]
+    huge = 10**400  # a 401-digit JSON integer, too large for a float
+    sim_spec = {"command": "simulate", "params": SATELLITE_PARAMS, "sim": {"runs": 5}}
+    compare = {"command": "compare", "params": SATELLITE_PARAMS}
+    coerced = [
+        {"command": "policy", "params": {**SATELLITE_PARAMS, "R": "1.5e6"}},
+        {"command": "policy", "params": {**SATELLITE_PARAMS, "Pe_ack": False}},
+        {"command": "policy", "params": SATELLITE_PARAMS, "bit_channel": {"Pe_bit": "1e-5"}},
+        {"command": "policy", "params": {**SATELLITE_PARAMS, "R": huge}},
+        {"command": "policy", "params": {**SATELLITE_PARAMS, "n": huge}},
+        {"command": "policy", "params": SATELLITE_PARAMS, "bit_channel": {"Pe_bit": huge}},
+        {**pe_sweep, "pe_grid": [0.1, huge]},
+        {**compare, "schemes": [f"gbn:{huge}"], "metric": "eta"},
+        {**sim_spec, "policy": {"type": "explicit", "N": [huge] + list(range(2, 11))}},
+        {**compare, "schemes": ["fixed-window: 2"]},
+        {**compare, "schemes": ["gbn:1_0"], "metric": "eta"},
+        {**compare, "schemes": ["nc-optimal:"]},
+        # a bit channel that erases every packet: Pe rounds to 1
+        {"command": "policy", "params": SATELLITE_PARAMS, "bit_channel": {"Pe_bit": 0.99}},
+    ]
+    unknown_nested = [
+        {**sim_spec, "policy": {"type": "optimal", "omega": 3}},
+        {**sim_spec, "policy": {"type": "explicit", "N": list(range(1, 11)), "omega": 3}},
+        {**sim_spec, "policy": {"type": "fixed-window", "omega": 3, "N": [1]}},
+        {**sim_spec, "bit_channel": {"Pe_bit": 1e-5, "x": 1}},
+        {**sim_spec, "sim": {"mode": "rlnc", "runs": 5, "field_g": 8, "polynomial": None}},
+    ]
+    bad_specs += [{"schema_version": 1, **spec} for spec in coerced + unknown_nested]
+    bad_specs += [{"schema_version": version, "command": "policy", "params": SATELLITE_PARAMS}
+                  for version in (True, 1.0)]
     for k, spec in enumerate(bad_specs):
         out = tmp_path / f"no{k}.csv"
         code = main(["--config", _write(tmp_path, spec, f"bad{k}.json"), "--out", str(out)])
@@ -359,3 +392,100 @@ def test_render_csv_shape():
     header, line = text.splitlines()[:2]
     assert header.startswith("scheme,metric,state,value")
     assert len(line.split(",")) == len(header.split(","))
+
+
+def test_unparsable_json_text_exits_2(tmp_path, capsys):
+    spec = json.dumps({"schema_version": 1, "command": "policy", "params": SATELLITE_PARAMS})
+    texts = [
+        spec[:-1] + ', "x": ' + "7" * 5000 + "}",  # more digits than int() converts
+        "[" * 100000 + "]" * 100000,               # nested deeper than the recursion limit
+    ]
+    for k, text in enumerate(texts):
+        cfg, out = tmp_path / f"bad{k}.json", tmp_path / f"no{k}.csv"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "invalid-spec"
+
+
+def test_validation_precedes_computation(tmp_path, monkeypatch):
+    def computed(*args):
+        raise AssertionError("optimal_policy ran before the spec was validated")
+
+    monkeypatch.setattr(cli, "optimal_policy", computed)
+    spec = {
+        "schema_version": 1,
+        "command": "sweep-pe",
+        "params": SATELLITE_PARAMS,
+        "pe_grid": [0.1, 0.5, 1.0],
+        "schemes": ["nc-optimal"],
+    }
+    out = tmp_path / "no.csv"
+    assert main(["--config", _write(tmp_path, spec), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+# A valid small spec per command; the property test changes one key of one of them.
+_LINK = {"M": 2, "n": 100, "g": 8, "h": 8, "n_ack": 10, "R": 1e4, "T_rt": 0.01,
+         "Pe": 0.3, "Pe_ack": 0.1}
+_SMALL_SPECS = [
+    {"command": "policy", "params": _LINK, "bit_channel": {"Pe_bit": 1e-3}},
+    {"command": "sweep-pe", "params": _LINK, "pe_grid": [0.0, 0.5], "metric": "completion",
+     "schemes": ["nc-optimal", "full-duplex", "stop-and-wait", "fixed-window:2"]},
+    {"command": "sweep-n", "params": _LINK, "bit_channel": {"Pe_bit": 1e-3}, "n_grid": [50, 100],
+     "schemes": ["nc-optimal", "full-duplex"]},
+    {"command": "sweep-m", "params": _LINK, "bit_channel": {"Pe_bit": 1e-3}, "m_grid": [1, 3]},
+    {"command": "sweep-joint", "params": _LINK, "bit_channel": {"Pe_bit": 1e-3},
+     "n_grid": [100], "m_grid": [2]},
+    {"command": "compare", "params": _LINK, "metric": "eta",
+     "schemes": ["nc-optimal", "full-duplex", "fixed-window:1", "gbn:3", "sr:3"]},
+    {"command": "simulate", "params": _LINK, "policy": {"type": "optimal"},
+     "sim": {"mode": "chain", "runs": 3}, "master_seed": 1},
+    {"command": "simulate", "params": _LINK, "policy": {"type": "fixed-window", "omega": 2},
+     "sim": {"mode": "rlnc", "runs": 3, "field_g": 4, "polynomial": 19}, "master_seed": 2},
+    {"command": "simulate", "params": _LINK, "policy": {"type": "explicit", "N": [1, 3]},
+     "sim": {"mode": "physical", "runs": 3}, "master_seed": 3},
+]
+# numbers and integers come from this list only, so every example's cost stays bounded
+_EDGE_NUMBERS = [0, -1, 0.5, 0.99, 1.0, float("nan"), float("inf"), 2**53 + 1, 10**400,
+                 *range(1, 13)]
+_WORDS = ["", "x", "policy", "compare", "chain", "physical", "rlnc", "optimal", "fixed-window",
+          "explicit", "nc-optimal", "full-duplex", "stop-and-wait", "fixed-window:2", "gbn:3",
+          "sr:3", "gbn:0", "completion", "eta"]
+_KEYS = sorted({key for spec in _SMALL_SPECS for key in spec} | set(_LINK)
+               | {"schema_version", "Pe_bit", "type", "omega", "N", "mode", "runs", "field_g",
+                  "polynomial", "x"})
+
+
+def _json_values():
+    leaves = (st.sampled_from(_EDGE_NUMBERS) | st.sampled_from(_WORDS) | st.booleans()
+              | st.none())
+    nested = st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+                          max_leaves=6)
+    return leaves | nested
+
+
+@st.composite
+def _changed_specs(draw):
+    spec = copy.deepcopy({"schema_version": 1, **draw(st.sampled_from(_SMALL_SPECS))})
+    holder = draw(st.sampled_from([spec] + [v for v in spec.values() if isinstance(v, dict)]))
+    change = draw(st.sampled_from(("add", "remove", "replace")))
+    if change == "remove":
+        del holder[draw(st.sampled_from(sorted(holder)))]
+    else:
+        keys = _KEYS if change == "add" else sorted(holder)
+        holder[draw(st.sampled_from(keys))] = draw(_json_values())
+    return spec
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_changed_specs())
+def test_changed_spec_exits_cleanly(tmp_path, spec):
+    cfg, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    cfg.write_text(json.dumps(spec))
+    code = main(["--config", str(cfg), "--out", str(out)])
+    assert code in (0, 2, 3)
+    assert out.exists() == (code == 0)
