@@ -6,6 +6,7 @@ from .markov import (
     expected_completion,
     expected_extra_receptions,
     fixed_window_completion,
+    fixed_window_policy,
     full_duplex_completion,
     sw_mean_throughput,
     transition_prob,

@@ -20,6 +20,7 @@ from .markov import (
     Policy,
     expected_completion,
     fixed_window_completion,
+    fixed_window_policy,
     full_duplex_completion,
 )
 from .optimizer import ArqParams, arq_timing, eta_gbn, eta_sr, optimal_policy
@@ -258,8 +259,7 @@ def _sim_policy(raw, M):
     if raw["type"] == "optimal":
         return None, "nc-optimal"
     if raw["type"] == "fixed-window":
-        return (Policy(tuple(min(i, raw["omega"]) for i in range(1, M + 1))),
-                f"fixed-window:{raw['omega']}")
+        return fixed_window_policy(raw["omega"], M), f"fixed-window:{raw['omega']}"
     if len(raw["N"]) != M:
         raise SpecError("explicit policy needs an N list of length M")
     return Policy(tuple(raw["N"])), "explicit:" + ";".join(str(v) for v in raw["N"])

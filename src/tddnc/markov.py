@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import SystemParams, Timing
+from .params import SystemParams, Timing, as_int
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class Policy:
     N: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "N", tuple(int(v) for v in self.N))
+        object.__setattr__(self, "N", tuple(as_int(v, "burst size") for v in self.N))
         if len(self.N) < 1:
             raise ValueError("policy must cover at least one state")
         if any(v < 1 for v in self.N):
@@ -31,8 +31,13 @@ class Policy:
     def M(self) -> int:
         return len(self.N)
 
-    def burst(self, deficit: int) -> int:
-        return self.N[deficit - 1]
+
+def fixed_window_policy(omega: int, M: int) -> Policy:
+    """The fixed window of `omega`: a full window while the deficit is omega or
+    more, exactly the deficit otherwise, i.e. N_i = min(i, omega)."""
+    if omega < 1:
+        raise ValueError("omega must be >= 1")
+    return Policy(tuple(min(i, omega) for i in range(1, M + 1)))
 
 
 @dataclass(frozen=True)
@@ -154,15 +159,9 @@ def expected_completion(policy: Policy, sys: SystemParams, timing: Timing) -> Co
 
 
 def fixed_window_completion(omega: int, sys: SystemParams, timing: Timing) -> CompletionProfile:
-    """Completion profile when at most `omega` coded packets are ever sent per burst.
-
-    The chain sends omega packets while the deficit is omega or more and
-    exactly the deficit otherwise, i.e. N_i = min(i, omega).
-    """
-    if omega < 1:
-        raise ValueError("omega must be >= 1")
-    policy = Policy(tuple(min(i, omega) for i in range(1, sys.M + 1)))
-    return expected_completion(policy, sys, timing)
+    """Completion profile of `fixed_window_policy(omega, M)`: at most `omega`
+    coded packets are ever sent per burst."""
+    return expected_completion(fixed_window_policy(omega, sys.M), sys, timing)
 
 
 def full_duplex_completion(sys: SystemParams, timing: Timing) -> float:

@@ -3,7 +3,15 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+
+
+def as_int(value, name: str) -> int:
+    """`value` as an int; a bool, float, string or other non-integer raises TypeError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -35,6 +43,8 @@ class SystemParams:
     Pe_ack: float = 0.0
 
     def __post_init__(self):
+        for name in ("M", "n", "g", "h", "n_ack"):
+            as_int(getattr(self, name), name)
         if self.M < 1:
             raise ValueError("M must be a positive integer")
         if self.n < 1:

@@ -1,12 +1,15 @@
 """Monte-Carlo execution of the burst/listen protocol under packet and ACK erasures.
 
-Three fidelity modes:
+All three fidelity modes share one round loop: send a burst sized for the
+transmitter's belief, then wait for an ACK; a heard ACK sets the belief to
+the receiver's deficit.  The modes differ only in the receiver step:
 
-chain     a lost ACK forfeits the round's progress, replicating the analytic
-          chain's self-transition exactly;
-physical  the receiver keeps whatever arrived; the transmitter retransmits
-          for its stale belief until an ACK gets through;
-rlnc      as physical, but a packet only counts when its random encoding
+chain     the burst's arrivals cut the deficit, but only when the ACK is
+          heard: a lost ACK forfeits the round's progress, replicating the
+          analytic chain's self-transition exactly;
+physical  the same arrivals, kept at once; the transmitter retransmits for
+          its stale belief until an ACK gets through;
+rlnc      kept at once, but an arrival only counts when its random encoding
           vector raises the rank of those received, so linear-dependence
           losses are included.  Only the rank is tracked: the block is
           decodable exactly when the coefficient rows reach rank M, so the
@@ -31,6 +34,7 @@ from .rlnc import CodedPacket, Decoder, GaloisField
 from .rlnc import encode  # noqa: F401  (bench/tracing.py wraps tddnc.simulator.encode)
 
 MODES = ("chain", "physical", "rlnc")
+_NO_PAYLOAD = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -68,54 +72,33 @@ def _rng_for_run(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, run_index])
 
 
-def _run_erasure(policy, Pe, Pe_ack, T_p, T_w, rng, keep_progress):
-    # chain mode: keep_progress False; physical mode: True
-    deficit = policy.M   # receiver truth
-    belief = policy.M    # transmitter view, from the last heard ACK
+def _run(policy, Pe, Pe_ack, T_p, T_w, rng, decoder, keep_progress):
+    """One transfer: (completion seconds, packets sent, stops)."""
+    M, N = policy.M, policy.N
+    deficit = belief = M   # receiver truth; transmitter view from the last heard ACK
     elapsed = 0.0
-    sent = 0
-    stops = 0
+    sent = stops = 0
     while True:
-        n = policy.N[belief - 1]
-        k = int(rng.binomial(n, 1.0 - Pe))
+        n = N[belief - 1]
         elapsed += n * T_p + T_w
         sent += n
         stops += 1
-        if keep_progress:
-            deficit = max(deficit - k, 0)
+        if decoder is None:
+            after = max(deficit - int(rng.binomial(n, 1.0 - Pe)), 0)
+        else:
+            count = int((rng.random(n) >= Pe).sum())
+            if count:
+                # drawn even at full rank, so every run's draw sequence stays fixed
+                for row in rng.integers(0, decoder.field.q, size=(count, M), dtype=np.int64):
+                    if decoder.rank == M:
+                        break
+                    decoder.absorb(CodedPacket(row, _NO_PAYLOAD))
+            after = M - decoder.rank
+        if keep_progress:   # physical, rlnc: arrivals count before the ACK is heard
+            deficit = after
         if rng.random() >= Pe_ack:
-            if not keep_progress:
-                deficit = max(deficit - k, 0)   # progress counts only when the ACK is heard
-            belief = deficit
-            if deficit == 0:
-                return elapsed, sent, stops
-
-
-def _run_rlnc(policy, Pe, Pe_ack, T_p, T_w, rng, field):
-    decoder = Decoder(field, policy.M, 0)
-    no_payload = np.empty(0, dtype=np.int64)
-    belief = policy.M
-    elapsed = 0.0
-    sent = 0
-    stops = 0
-    while True:
-        n = policy.N[belief - 1]
-        elapsed += n * T_p + T_w
-        sent += n
-        stops += 1
-        arrived = rng.random(n) >= Pe
-        count = int(arrived.sum())
-        if count:
-            # drawn even at full rank, so every run's draw sequence stays fixed
-            coeffs = rng.integers(0, field.q, size=(count, policy.M), dtype=np.int64)
-            for row in coeffs:
-                if decoder.rank == policy.M:
-                    break
-                decoder.absorb(CodedPacket(row, no_payload))
-        deficit = policy.M - decoder.rank
-        if rng.random() >= Pe_ack:
-            belief = deficit
-            if deficit == 0:
+            deficit = belief = after
+            if after == 0:
                 return elapsed, sent, stops
 
 
@@ -128,20 +111,13 @@ def run_records(
     """Per-run records, shape (runs, 3): completion seconds, packets sent, stops."""
     if policy.M != sys.M:
         raise ValueError("policy length must equal the block size M")
-    Pe, Pa = sys.Pe, sys.Pe_ack
-    T_p, T_w = timing.T_p, timing.T_w
-
-    if cfg.mode == "rlnc":
-        def one(r):
-            return _run_rlnc(policy, Pe, Pa, T_p, T_w, _rng_for_run(cfg.master_seed, r), cfg.field)
-
-    else:
-        keep = cfg.mode == "physical"
-
-        def one(r):
-            return _run_erasure(policy, Pe, Pa, T_p, T_w, _rng_for_run(cfg.master_seed, r), keep)
-
-    return np.asarray([one(r) for r in range(cfg.runs)], dtype=np.float64)
+    Pe, Pa, T_p, T_w = sys.Pe, sys.Pe_ack, timing.T_p, timing.T_w
+    keep = cfg.mode != "chain"
+    records = []
+    for r in range(cfg.runs):
+        decoder = Decoder(cfg.field, sys.M, 0) if cfg.mode == "rlnc" else None
+        records.append(_run(policy, Pe, Pa, T_p, T_w, _rng_for_run(cfg.master_seed, r), decoder, keep))
+    return np.asarray(records, dtype=np.float64)
 
 
 def summarize(records: np.ndarray, timing: Timing) -> SimResult:

@@ -10,6 +10,7 @@ from tddnc.markov import (
     expected_completion,
     expected_extra_receptions,
     fixed_window_completion,
+    fixed_window_policy,
     full_duplex_completion,
     sw_mean_throughput,
     transition_prob,
@@ -138,6 +139,27 @@ def test_fixed_window_equals_capped_policy():
         direct = expected_completion(capped, sys, t)
         for a, b in zip(fw.T, direct.T):
             assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_fixed_window_policy():
+    assert fixed_window_policy(3, 5).N == (1, 2, 3, 3, 3)
+    assert fixed_window_policy(9, 2).N == (1, 2)
+    for omega in (0, -1):
+        with pytest.raises(ValueError):
+            fixed_window_policy(omega, 5)
+        with pytest.raises(ValueError):
+            fixed_window_completion(omega, _sys(M=5), Timing(T_p=1.0, T_ack=0.5, T_w=1.0))
+
+
+@pytest.mark.parametrize("value", [True, 3.0, 2.5, "3"])
+def test_policy_rejects_non_integer_burst_sizes(value):
+    with pytest.raises(TypeError):
+        Policy((2, value))
+
+
+def test_policy_keeps_numpy_integers_as_ints():
+    policy = Policy(tuple(np.arange(1, 4)))
+    assert policy.N == (1, 2, 3) and all(type(v) is int for v in policy.N)
 
 
 def test_full_duplex_values():

@@ -102,6 +102,13 @@ def test_construction_rejects_invalid():
         BitChannel(1.0)
 
 
+@pytest.mark.parametrize("field", ["M", "n", "g", "h", "n_ack"])
+@pytest.mark.parametrize("value", [True, 2.5, 10.0, "10"])
+def test_construction_rejects_non_integer_counts(field, value):
+    with pytest.raises(TypeError):
+        SystemParams(**{**SATELLITE, field: value})
+
+
 def test_packet_bits():
     assert SystemParams(**SATELLITE).packet_bits == 11080
     assert SystemParams(M=1, n=1, g=1, h=0, n_ack=1, R=1.0).q == 2

@@ -122,21 +122,37 @@ def test_small_field_needs_more_time_than_byte_field():
     assert results[1][:, 0].mean() > results[8][:, 0].mean()
 
 
-# sha256 of run_records(...).tobytes(), recorded from the simulator that encoded
-# and decoded payloads: rank-only tracking keeps every run's draws and outcome
-RLNC_RECORD_SHA256 = {
-    1: "378482497a6fd51d707c5c4ed13254cf920c737ec8dee6626a85af7225fe5920",
-    8: "f0a4a2a8d9b02f2f7b27c71b40b663b275a3d3a14c7cbb6f02ef2c31a3c881b1",
-    16: "7990706639bef79ce78b025c69c57e66052e7452274958c71ee41456a9e9fed8",
+# sha256 of run_records(...).tobytes() per (mode, g).  The rlnc pins were
+# recorded from the simulator that encoded and decoded payloads: rank-only
+# tracking keeps every run's draws and outcome
+RECORD_SHA256 = {
+    ("chain", 8): "609fadf94901c663fc61da9ee713c140222aeb2f907f3d1d6fe04b34e4568a41",
+    ("physical", 8): "5821263f921e9991cd1b8c22a9457cb0782fd851453399e6cfbfb9f78dfdb4d9",
+    ("rlnc", 1): "378482497a6fd51d707c5c4ed13254cf920c737ec8dee6626a85af7225fe5920",
+    ("rlnc", 8): "f0a4a2a8d9b02f2f7b27c71b40b663b275a3d3a14c7cbb6f02ef2c31a3c881b1",
+    ("rlnc", 16): "7990706639bef79ce78b025c69c57e66052e7452274958c71ee41456a9e9fed8",
 }
 
 
-@pytest.mark.parametrize("g", sorted(RLNC_RECORD_SHA256))
-def test_rlnc_records_match_pinned_hashes(g):
+@pytest.mark.parametrize("mode, g", sorted(RECORD_SHA256))
+def test_records_match_pinned_hashes(mode, g):
     sys = SystemParams(M=6, n=1000, g=g, h=80, n_ack=100, R=1e6, T_rt=0.01, Pe=0.3, Pe_ack=0.1)
-    cfg = SimConfig(mode="rlnc", runs=300, master_seed=20090419, field=GaloisField(g))
+    field = GaloisField(g) if mode == "rlnc" else None
+    cfg = SimConfig(mode=mode, runs=300, master_seed=20090419, field=field)
     rec = run_records(Policy((2, 3, 4, 6, 7, 9)), sys, derive_timing(sys), cfg)
-    assert hashlib.sha256(rec.tobytes()).hexdigest() == RLNC_RECORD_SHA256[g]
+    assert hashlib.sha256(rec.tobytes()).hexdigest() == RECORD_SHA256[mode, g]
+
+
+@pytest.mark.parametrize("mode", ["chain", "physical"])
+def test_erasure_modes_ignore_the_field(mode):
+    # only the mode decides whether a run decodes: a field set on a chain or
+    # physical config must not change a single record
+    sys = _sys(M=6, Pe=0.3, Pe_ack=0.1)
+    t = derive_timing(sys)
+    policy = Policy((2, 3, 4, 6, 7, 9))
+    plain = run_records(policy, sys, t, SimConfig(mode=mode, runs=300, master_seed=7))
+    with_field = SimConfig(mode=mode, runs=300, master_seed=7, field=GaloisField(8))
+    assert np.array_equal(run_records(policy, sys, t, with_field), plain)
 
 
 def test_summarize_single_and_tied_runs():
