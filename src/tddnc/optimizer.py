@@ -13,7 +13,7 @@ from .markov import (
     expected_completion,
     state_completion_time,
 )
-from .params import BitChannel, SystemParams, Timing, derive_timing, with_bit_channel
+from .params import BitChannel, SystemParams, Timing, as_int, derive_timing, with_bit_channel
 
 _FIRST_BLOCK = 16
 _BLOCK_ENTRIES = 1 << 16
@@ -42,6 +42,8 @@ class ArqParams:
     packet_bits: int
 
     def __post_init__(self):
+        for name in ("W", "packet_bits"):
+            as_int(getattr(self, name), name)
         if self.W < 1:
             raise ValueError("window size must be >= 1")
         if self.packet_bits < 1:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .params import as_int
+
 # Default reduction polynomials per coefficient width, written with the
 # leading x**g term (0x11B = x^8+x^4+x^3+x+1).  Fixed here so decoders built
 # independently agree on the field; callers may override.
@@ -39,10 +41,12 @@ class GaloisField:
     """
 
     def __init__(self, g: int, polynomial: int | None = None):
+        g = as_int(g, "g")
         if not 1 <= g <= 16:
             raise ValueError("coefficient width g must lie in [1, 16]")
         if polynomial is None:
             polynomial = DEFAULT_POLYNOMIALS[g]
+        polynomial = as_int(polynomial, "polynomial")
         if polynomial < 0 or polynomial.bit_length() != g + 1:
             raise ValueError("reduction polynomial must be positive with degree exactly g")
         self.g = g
@@ -182,11 +186,14 @@ class Decoder:
     """Incremental Gaussian elimination over received packets, tracking received dofs.
 
     The basis is kept in echelon form, keyed by pivot column: the row held
-    at pivot p has zeros left of p and a 1 at p.  `absorb` reduces a new
-    coefficient vector against the held pivots only, with scalar log/antilog
-    lookups over Python ints, and never touches an older row again, so the
-    rank is known after every packet.  Payloads stay numpy rows and are
-    reduced alongside only when the decoder carries payload symbols.
+    at pivot p has zeros left of p and a 1 at p.  `reduce_row`, the one
+    elimination routine, reduces a new coefficient vector against the held
+    pivots only, with scalar log/antilog lookups over Python ints, and never
+    touches an older row again, so the rank is known after every packet.
+    `absorb` checks a packet's shape and symbol range, then calls it; the
+    simulator, which draws its rows in [0, q) itself, calls it directly.
+    Payloads stay numpy rows and are reduced alongside only when the decoder
+    carries payload symbols.
     `decode` back-substitutes once, from the last pivot up.
     """
 
@@ -211,8 +218,8 @@ class Decoder:
 
     def absorb(self, packet: CodedPacket) -> int:
         """Fold one packet into the basis; returns 1 if it carried a new dof, else 0."""
-        M, q = self.M, self.field.q
-        if packet.coefficients.shape != (M,):
+        q = self.field.q
+        if packet.coefficients.shape != (self.M,):
             raise ValueError("packet block size mismatch")
         if packet.payload.shape != (self.payload_symbols,):
             raise ValueError("packet payload length mismatch")
@@ -224,6 +231,16 @@ class Decoder:
             payload = packet.payload
             if payload.min() < 0 or payload.max() >= q:
                 raise ValueError("packet payload symbols must lie in [0, q)")
+        return self.reduce_row(v, payload)
+
+    def reduce_row(self, v: list[int], payload: np.ndarray | None = None) -> int:
+        """Fold a coefficient vector into the basis; returns 1 if it raised the rank, else 0.
+
+        Unchecked: `v` must be a list of M Python ints in [0, q), and is
+        overwritten; `payload` must be given exactly when the decoder
+        carries payload symbols.  `absorb` checks a packet, then calls this.
+        """
+        M, q = self.M, self.field.q
         exp, log, rows = self._exp, self._log, self._rows
         for col in range(M):
             a = v[col]

@@ -235,6 +235,13 @@ def test_gbn_never_beats_sr():
             assert eta_gbn(sys, t, arq) <= eta_sr(sys, t, arq) * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("field", ["W", "packet_bits"])
+@pytest.mark.parametrize("value", [True, 2.5, 10.0, "10"])
+def test_arq_params_reject_non_integer_sizes(field, value):
+    with pytest.raises(TypeError):
+        ArqParams(**{"W": 7, "packet_bits": 10080, field: value})
+
+
 def test_sr_linear_in_delivery_rate():
     arq = ArqParams(W=7, packet_bits=10080)
     t = arq_timing(SystemParams(**HIGH_RATE), arq)

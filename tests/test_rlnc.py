@@ -58,6 +58,13 @@ def test_field_rejects_bad_arguments():
         GaloisField(4).inv(0)
 
 
+@pytest.mark.parametrize("g, polynomial", [(8.0, None), (True, None), ("8", None),
+                                           (8, 283.0), (8, "0x11B"), (1, True)])
+def test_field_rejects_non_integer_arguments(g, polynomial):
+    with pytest.raises(TypeError):
+        GaloisField(g, polynomial)
+
+
 def _clmul_mod(a, b, g, poly):
     # schoolbook carry-less product, then reduction from the top bit down
     acc = 0
@@ -232,6 +239,32 @@ def test_absorb_rejects_symbols_outside_the_field():
     assert dec.rank == 0
     with pytest.raises(ValueError, match=r"\[0, q\)"):
         Decoder(f, 3, 0).absorb(CodedPacket([-1, 0, 0], np.empty(0, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("g", [1, 8, 16])
+def test_reduce_row_matches_absorb(g):
+    # the unchecked entry the simulator uses builds the same basis as absorb,
+    # row by row, over independent, sparse and repeated rows
+    f = GaloisField(g)
+    rng = np.random.default_rng([2012, g])
+    no_payload = np.empty(0, dtype=np.int64)
+    checked = None
+    absorbed, reduced = [], []
+    for _ in range(500):
+        if checked is None or checked.rank == checked.M:
+            M = int(rng.integers(1, 9))
+            checked, lean, seen = Decoder(f, M, 0), Decoder(f, M, 0), []
+        if seen and rng.random() < 0.2:
+            row = seen[rng.integers(0, len(seen))]
+        else:
+            row = random_coefficients(f, M, rng) * (rng.random(M) < 0.6)
+        seen.append(row)
+        absorbed.append(checked.absorb(CodedPacket(row, no_payload)))
+        reduced.append(lean.reduce_row(row.tolist()))
+        assert lean.rank == checked.rank
+        assert lean._rows == checked._rows
+    assert absorbed == reduced
+    assert 0 < sum(absorbed) < len(absorbed)
 
 
 def test_encode_unit_vector_projects():

@@ -1,13 +1,29 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tddnc
 from tddnc.markov import Policy, expected_completion, expected_extra_receptions
 from tddnc.optimizer import optimal_policy
 from tddnc.params import SystemParams, Timing, derive_timing
 from tddnc.rlnc import GaloisField
-from tddnc.simulator import SimConfig, run_records, simulate, summarize
+from tddnc.simulator import (
+    _CHUNK,
+    SimConfig,
+    _run,
+    _seed_state_type,
+    _seed_states,
+    run_records,
+    simulate,
+    summarize,
+)
 
 
 def _sys(M=5, Pe=0.0, Pe_ack=0.0, n=1000, g=8):
@@ -182,6 +198,73 @@ def test_config_validation():
         SimConfig(master_seed=-1)
     with pytest.raises(ValueError):
         SimConfig(mode="rlnc", field=None)
+
+
+@pytest.mark.parametrize("field", ["runs", "master_seed"])
+@pytest.mark.parametrize("value", [True, 2.5, 10.0, "10"])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(TypeError):
+        SimConfig(**{field: value})
+
+
+def test_config_keeps_numpy_integers_as_ints():
+    cfg = SimConfig(runs=np.int64(5), master_seed=np.uint64(2**64 - 1))
+    assert type(cfg.runs) is int and type(cfg.master_seed) is int
+    assert cfg.master_seed == 2**64 - 1
+
+
+EDGE_WORDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+def _seed_sequence_state(seed, run):
+    return np.random.SeedSequence([seed, run]).generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("seed", EDGE_WORDS)
+def test_seed_states_equal_seed_sequence_at_word_edges(seed):
+    for run in (0, 1, 2**32 - 1, 2**32, 2**53):
+        assert np.array_equal(_seed_states(seed, run, 1), [_seed_sequence_state(seed, run)])
+    # one chunk across the run index where r grows a second 32-bit word
+    chunk = _seed_states(seed, 2**32 - 3, 6)
+    runs = range(2**32 - 3, 2**32 + 3)
+    assert np.array_equal(chunk, [_seed_sequence_state(seed, r) for r in runs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), run=st.integers(0, 2**53))
+def test_seed_states_equal_seed_sequence(seed, run):
+    assert np.array_equal(_seed_states(seed, run, 1)[0], _seed_sequence_state(seed, run))
+
+
+@pytest.mark.parametrize("seed, run", [(0, 0), (20090419, 299), (2**64 - 1, 2**32)])
+def test_seeded_generator_draws_equal_default_rng(seed, run):
+    rng = np.random.Generator(np.random.PCG64(_seed_state_type()(_seed_states(seed, run, 1)[0])))
+    ref = np.random.default_rng([seed, run])
+    assert np.array_equal(rng.random(16), ref.random(16))
+    assert np.array_equal(rng.integers(0, 2**16, size=(3, 5)), ref.integers(0, 2**16, size=(3, 5)))
+    assert np.array_equal(rng.binomial(9, 0.4, size=16), ref.binomial(9, 0.4, size=16))
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy 2 loads numpy.random lazily; commands that never simulate keep it so
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import tddnc.cli; "
+            "print(('numpy.random' in sys.modules) == before)")
+    src = Path(tddnc.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "True"
+
+
+def test_records_across_chunks_equal_per_run_default_rng():
+    # every run, in every chunk, draws from default_rng([master_seed, r])
+    sys = _sys(M=3, Pe=0.4, Pe_ack=0.1)
+    t = derive_timing(sys)
+    policy = Policy((2, 3, 5))
+    runs = _CHUNK + 3
+    rec = run_records(policy, sys, t, SimConfig(mode="physical", runs=runs, master_seed=2**40 + 1))
+    ref = [_run(policy, sys.Pe, sys.Pe_ack, t.T_p, t.T_w, np.random.default_rng([2**40 + 1, r]),
+                None, True) for r in range(runs)]
+    assert np.array_equal(rec, np.asarray(ref, dtype=np.float64))
 
 
 def test_histogram_counts_runs():
