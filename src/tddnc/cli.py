@@ -4,7 +4,9 @@ A run is described by a JSON config (see README for the schema) and emitted
 as CSV or JSON rows.  A config is validated in full, every key and every grid
 cell, before any computation starts.  Output is byte-deterministic for a
 given config: fixed column order, fixed float formatting, declared grid
-order.  Sweep cells and simulation runs are computed one after another.
+order.  The columns all rows of one parameter point share (the link, `Pe_bit`,
+the simulation setup) are formatted once; each row adds its own.  Sweep cells
+and simulation runs are computed one after another.
 """
 
 from __future__ import annotations
@@ -75,42 +77,33 @@ def _fmt_value(v) -> str:
 
 
 def _fmt_param(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    """A parameter echo; `str` of a float is its shortest round-trip `repr`."""
+    return "" if v is None else str(v)
 
 
-def _row(scheme, metric, value, sys=None, *, state=None, ratio=None, pe_bit=None,
-         omega=None, window=None, sim_mode=None, sim_runs=None, seed=None) -> dict:
+_BLANK_ROW = dict.fromkeys(COLUMNS, "")
+
+
+def _cell(sys, pe_bit, **extra) -> dict:
+    """The columns all rows of one parameter point share, formatted once; `extra` by CSV name."""
+    return {"M": str(sys.M), "n": str(sys.n), "g": str(sys.g), "h": str(sys.h),
+            "n_ack": str(sys.n_ack), "R": str(float(sys.R)), "T_rt": str(float(sys.T_rt)),
+            "Pe": str(float(sys.Pe)), "Pe_ack": str(float(sys.Pe_ack)),
+            "Pe_bit": _fmt_param(pe_bit), **{key: _fmt_param(v) for key, v in extra.items()}}
+
+
+def _row(cell, scheme, metric, value, **columns) -> dict:
+    """One output row: `cell` plus the row's own `columns`, by their CSV names.
+
+    `ratio_to_full_duplex` is a metric and takes the metric format; `state`,
+    `omega` and `W` are parameters.  A row has exactly the COLUMNS keys.
+    """
     if isinstance(value, float) and not math.isfinite(value):
         raise NonFiniteError(f"{scheme}/{metric} is not finite")
-    cells = {k: "" for k in COLUMNS}
-    cells["scheme"] = scheme
-    cells["metric"] = metric
-    cells["state"] = _fmt_param(state)
-    cells["value"] = _fmt_value(value)
-    cells["ratio_to_full_duplex"] = "" if ratio is None else format(float(ratio), ".8e")
-    if sys is not None:
-        cells["M"] = str(sys.M)
-        cells["n"] = str(sys.n)
-        cells["g"] = str(sys.g)
-        cells["h"] = str(sys.h)
-        cells["n_ack"] = str(sys.n_ack)
-        cells["R"] = _fmt_param(float(sys.R))
-        cells["T_rt"] = _fmt_param(float(sys.T_rt))
-        cells["Pe"] = _fmt_param(float(sys.Pe))
-        cells["Pe_ack"] = _fmt_param(float(sys.Pe_ack))
-    cells["Pe_bit"] = _fmt_param(pe_bit)
-    cells["omega"] = _fmt_param(omega)
-    cells["W"] = _fmt_param(window)
-    cells["sim_mode"] = _fmt_param(sim_mode)
-    cells["sim_runs"] = _fmt_param(sim_runs)
-    cells["seed"] = _fmt_param(seed)
-    return cells
+    row = {**_BLANK_ROW, **cell, "scheme": scheme, "metric": metric, "value": _fmt_value(value)}
+    for key, v in columns.items():
+        row[key] = _fmt_value(v) if key == "ratio_to_full_duplex" else _fmt_param(v)
+    return row
 
 
 # Every object a spec can hold is read through a table: key -> (kind, default).
@@ -273,16 +266,16 @@ def _sim_config(raw, seed, g) -> SimConfig:
     return SimConfig(mode=raw["mode"], runs=raw["runs"], master_seed=seed, field=field)
 
 
-def _scheme_row(scheme, sys, timing, metric, pe_bit, fd_time) -> dict:
-    """The output row of one scheme at one parameter point."""
+def _scheme_row(scheme, sys, timing, metric, cell, fd_time) -> dict:
+    """The output row of one scheme at one parameter point of full-duplex time `fd_time`."""
     label, kind, arg = scheme
     if kind in ("gbn", "sr"):
         arq = ArqParams(W=arg, packet_bits=sys.h + sys.n)
         t_arq = arq_timing(sys, arq)
         value = eta_gbn(sys, t_arq, arq) if kind == "gbn" else eta_sr(sys, t_arq, arq)
-        return _row(label, "eta_bps", value, sys, pe_bit=pe_bit, window=arg)
+        return _row(cell, label, "eta_bps", value, W=arg)
     if kind == "full-duplex":
-        t_block = full_duplex_completion(sys, timing)
+        t_block = fd_time
     else:
         if kind == "nc-optimal":
             profile = optimal_policy(sys, timing).profile
@@ -293,9 +286,9 @@ def _scheme_row(scheme, sys, timing, metric, pe_bit, fd_time) -> dict:
         t_block = profile.T_M
     omega = arg if kind == "fixed-window" else None
     if metric == "eta":
-        return _row(label, "eta_bps", sys.M * sys.n / t_block, sys, pe_bit=pe_bit, omega=omega)
-    ratio = None if fd_time is None else t_block / fd_time
-    return _row(label, "T_M_seconds", t_block, sys, ratio=ratio, pe_bit=pe_bit, omega=omega)
+        return _row(cell, label, "eta_bps", sys.M * sys.n / t_block, omega=omega)
+    return _row(cell, label, "T_M_seconds", t_block, ratio_to_full_duplex=t_block / fd_time,
+                omega=omega)
 
 
 def _sweep_rows(cells, schemes, metric, pe_bit) -> list[dict]:
@@ -303,36 +296,34 @@ def _sweep_rows(cells, schemes, metric, pe_bit) -> list[dict]:
     rows = []
     for sys in cells:
         timing = derive_timing(sys)
-        fd = full_duplex_completion(sys, timing) if metric == "completion" else None
-        rows.extend(_scheme_row(s, sys, timing, metric, pe_bit, fd) for s in schemes)
+        cell, fd = _cell(sys, pe_bit), full_duplex_completion(sys, timing)
+        rows.extend(_scheme_row(s, sys, timing, metric, cell, fd) for s in schemes)
     return rows
 
 
 def _policy_rows(sys, pe_bit) -> list[dict]:
     result = optimal_policy(sys, derive_timing(sys))
-    rows = []
-    for i in range(1, sys.M + 1):
-        rows.append(_row("nc-optimal", "N_i", result.policy.N[i - 1], sys, state=i, pe_bit=pe_bit))
-        rows.append(_row("nc-optimal", "T_i_seconds", result.profile.T[i], sys, state=i, pe_bit=pe_bit))
-        rows.append(_row("nc-optimal", "search_bound", result.search_bounds_used[i - 1], sys,
-                         state=i, pe_bit=pe_bit))
+    cell, rows = _cell(sys, pe_bit), []
+    for i, (n_i, bound) in enumerate(zip(result.policy.N, result.search_bounds_used), start=1):
+        rows += (_row(cell, "nc-optimal", "N_i", n_i, state=i),
+                 _row(cell, "nc-optimal", "T_i_seconds", result.profile.T[i], state=i),
+                 _row(cell, "nc-optimal", "search_bound", bound, state=i))
     return rows
 
 
 def _simulate_rows(sys, pe_bit, policy, label, cfg) -> list[dict]:
     timing = derive_timing(sys)
-    if policy is None:
-        policy = optimal_policy(sys, timing).policy
+    if policy is None:   # the search's own profile is the policy's analytic T_M
+        best = optimal_policy(sys, timing)
+        policy, analytic = best.policy, best.profile.T_M
+    else:
+        analytic = expected_completion(policy, sys, timing).T_M
     result = simulate(policy, sys, timing, cfg)
-    analytic = expected_completion(policy, sys, timing).T_M
-    tag = dict(sys=sys, pe_bit=pe_bit, sim_mode=cfg.mode, sim_runs=cfg.runs, seed=cfg.master_seed)
-    return [
-        _row(label, "sim_mean_seconds", result.mean_completion, **tag),
-        _row(label, "sim_stderr_seconds", result.stderr, **tag),
-        _row(label, "T_M_seconds", analytic, **tag),
-        _row(label, "sim_mean_packets", result.mean_packets_sent, **tag),
-        _row(label, "sim_mean_stops", result.mean_stops, **tag),
-    ]
+    cell = _cell(sys, pe_bit, sim_mode=cfg.mode, sim_runs=cfg.runs, seed=cfg.master_seed)
+    return [_row(cell, label, metric, value) for metric, value in (
+        ("sim_mean_seconds", result.mean_completion), ("sim_stderr_seconds", result.stderr),
+        ("T_M_seconds", analytic), ("sim_mean_packets", result.mean_packets_sent),
+        ("sim_mean_stops", result.mean_stops))]
 
 
 def run_spec(spec: dict) -> list[dict]:

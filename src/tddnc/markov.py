@@ -92,6 +92,7 @@ def transition_prob(i: int, j: int, N_i: int, Pe: float, Pe_ack: float) -> float
     the binomial coefficient is taken as zero outside 0 <= i-j <= N_i, so
     state 0 is reachable in one round only when N_i >= i.
     """
+    i, j, N_i = as_int(i, "i"), as_int(j, "j"), as_int(N_i, "N_i")
     if i < 1 or j < 0 or j > i:
         raise ValueError("states must satisfy 0 <= j <= i, i >= 1")
     if N_i < 1:
@@ -111,6 +112,7 @@ def expected_extra_receptions(M: int, q: int) -> float:
 
     Bounded above by M*q/(q-1); approaches M as q grows.
     """
+    M, q = as_int(M, "M"), as_int(q, "q")
     if M < 1:
         raise ValueError("M must be positive")
     if q < 2:

@@ -275,8 +275,7 @@ def eta(sys: SystemParams, timing: Timing, policy: Policy) -> float:
 
 def arq_timing(sys: SystemParams, arq: ArqParams) -> Timing:
     """Timing for an uncoded ARQ sender on the same link (no coefficient overhead)."""
-    t_ack = sys.n_ack / sys.R
-    return Timing(T_p=arq.packet_bits / sys.R, T_ack=t_ack, T_w=sys.T_rt + t_ack)
+    return replace(derive_timing(sys), T_p=arq.packet_bits / sys.R)
 
 
 def eta_gbn(sys: SystemParams, timing_arq: Timing, arq: ArqParams) -> float:

@@ -76,7 +76,11 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class Timing:
-    """Derived transmission times, all in seconds."""
+    """Derived transmission times, all in seconds.
+
+    T_p > 0, and T_ack, T_w >= 0: a negative round cost would void the
+    policy search's stopping bound.  NaN fails every check.
+    """
 
     T_p: float
     T_ack: float
@@ -85,6 +89,10 @@ class Timing:
     def __post_init__(self):
         if not self.T_p > 0:
             raise ValueError("T_p must be positive")
+        if not self.T_ack >= 0:
+            raise ValueError("T_ack must be non-negative")
+        if not self.T_w >= 0:
+            raise ValueError("T_w must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,7 @@ def packet_erasure(pe_bit: float, bits: int) -> float:
     Evaluated in log domain: (1 - pe_bit)**bits underflows its distance from 1
     when naively powered for large packets.
     """
+    bits = as_int(bits, "bits")
     if not 0.0 <= pe_bit < 1.0:
         raise ValueError("pe_bit must lie in [0, 1)")
     if bits < 1:

@@ -198,6 +198,7 @@ class Decoder:
     """
 
     def __init__(self, field: GaloisField, M: int, payload_symbols: int):
+        M, payload_symbols = as_int(M, "M"), as_int(payload_symbols, "payload_symbols")
         if M < 1:
             raise ValueError("block size must be positive")
         if payload_symbols < 0:

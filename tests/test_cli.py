@@ -244,6 +244,30 @@ def test_json_format_is_deterministic(tmp_path):
     assert {r["scheme"] for r in doc["rows"]} == {"nc-optimal", "full-duplex"}
 
 
+_EVERY_ROW_PATH = [
+    {"command": "policy", "bit_channel": {"Pe_bit": 1e-5}},
+    {"command": "sweep-pe", "pe_grid": [0.0, 0.5], "metric": "completion",
+     "schemes": ["nc-optimal", "full-duplex", "fixed-window:3", "stop-and-wait"]},
+    {"command": "sweep-joint", "bit_channel": {"Pe_bit": 1e-5}, "n_grid": [1000, 4000],
+     "m_grid": [2, 4], "schemes": ["nc-optimal", "full-duplex"]},
+    {"command": "compare", "schemes": ["nc-optimal", "full-duplex", "fixed-window:2", "gbn:4",
+                                       "sr:4"]},
+    {"command": "simulate", "sim": {"mode": "chain", "runs": 20}},
+    {"command": "simulate", "policy": {"type": "fixed-window", "omega": 3},
+     "sim": {"mode": "rlnc", "runs": 5, "field_g": 1}},
+]
+
+
+@pytest.mark.parametrize("extra", _EVERY_ROW_PATH, ids=lambda e: e["command"])
+def test_every_row_has_exactly_the_columns(tmp_path, extra):
+    spec = {"schema_version": 1, "params": {**SATELLITE_PARAMS, "M": 4, "Pe": 0.3}, **extra}
+    rows = run_spec(spec)
+    assert rows and all(sorted(row) == sorted(cli.COLUMNS) for row in rows)
+    out = tmp_path / "out.json"
+    assert main(["--config", _write(tmp_path, spec), "--out", str(out), "--format", "json"]) == 0
+    assert all(sorted(row) == sorted(cli.COLUMNS) for row in json.loads(out.read_text())["rows"])
+
+
 def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
     bad_specs = [
         {"schema_version": 2, "command": "policy", "params": SATELLITE_PARAMS},

@@ -157,6 +157,21 @@ def test_policy_rejects_non_integer_burst_sizes(value):
         Policy((2, value))
 
 
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("value", [True, 2.5, "2"])
+def test_transition_prob_rejects_non_integer_counts(position, value):
+    args = [2, 1, 2]
+    args[position] = value
+    with pytest.raises(TypeError):
+        transition_prob(*args, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("M, q", [(True, 2), (2.5, 2), ("2", 2), (2, True), (2, 2.0), (2, "2")])
+def test_expected_extra_receptions_rejects_non_integer_counts(M, q):
+    with pytest.raises(TypeError):
+        expected_extra_receptions(M, q)
+
+
 def test_policy_keeps_numpy_integers_as_ints():
     policy = Policy(tuple(np.arange(1, 4)))
     assert policy.N == (1, 2, 3) and all(type(v) is int for v in policy.N)

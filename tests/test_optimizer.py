@@ -216,6 +216,13 @@ def test_arq_baselines_direct_values():
     assert eta_gbn(sys, t, arq) == pytest.approx(9612.056380483678, rel=1e-12)
 
 
+def test_arq_timing_shares_the_coded_links_ack_wait():
+    for sys in (SystemParams(**SATELLITE, Pe=0.3), SystemParams(**HIGH_RATE), _sys()):
+        arq = ArqParams(W=3, packet_bits=sys.h + sys.n)
+        t, coded = arq_timing(sys, arq), derive_timing(sys)
+        assert (t.T_p, t.T_ack, t.T_w) == (arq.packet_bits / sys.R, coded.T_ack, coded.T_w)
+
+
 def test_arq_baselines_agree_at_zero_loss():
     sys = SystemParams(**HIGH_RATE, Pe=0.0)
     arq = ArqParams(W=10, packet_bits=sys.h + sys.n)

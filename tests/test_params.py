@@ -98,6 +98,10 @@ def test_construction_rejects_invalid():
         SystemParams(**{**SATELLITE, "n": 0})
     with pytest.raises(ValueError):
         Timing(T_p=0.0, T_ack=1.0, T_w=1.0)
+    # a negative round cost voids the policy search's stopping bound
+    for t_ack, t_w in ((0.0, -5.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            Timing(T_p=1.0, T_ack=t_ack, T_w=t_w)
     with pytest.raises(ValueError):
         BitChannel(1.0)
 
@@ -107,6 +111,12 @@ def test_construction_rejects_invalid():
 def test_construction_rejects_non_integer_counts(field, value):
     with pytest.raises(TypeError):
         SystemParams(**{**SATELLITE, field: value})
+
+
+@pytest.mark.parametrize("bits", [True, 2.5, "10"])
+def test_packet_erasure_rejects_non_integer_bits(bits):
+    with pytest.raises(TypeError):
+        packet_erasure(0.1, bits)
 
 
 def test_packet_bits():

@@ -65,6 +65,13 @@ def test_field_rejects_non_integer_arguments(g, polynomial):
         GaloisField(g, polynomial)
 
 
+@pytest.mark.parametrize("M, payload_symbols", [(True, 0), (3.0, 0), ("3", 0),
+                                                (3, False), (3, 2.0), (3, "2")])
+def test_decoder_rejects_non_integer_sizes(M, payload_symbols):
+    with pytest.raises(TypeError):
+        Decoder(GaloisField(8), M, payload_symbols)
+
+
 def _clmul_mod(a, b, g, poly):
     # schoolbook carry-less product, then reduction from the top bit down
     acc = 0
