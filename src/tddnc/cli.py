@@ -6,7 +6,8 @@ cell, before any computation starts.  Output is byte-deterministic for a
 given config: fixed column order, fixed float formatting, declared grid
 order.  The columns all rows of one parameter point share (the link, `Pe_bit`,
 the simulation setup) are formatted once; each row adds its own.  Sweep cells
-and simulation runs are computed one after another.
+and simulation runs are computed one after another.  The argument parser is
+built once per process, so repeated in-process `main` calls only parse.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import math
 import sys as _sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 from .markov import (
     Policy,
@@ -343,7 +344,9 @@ def render_json(command: str, rows: list[dict]) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tddnc",
         description="Delay-optimal network coding for TDD erasure links: "
@@ -356,7 +359,11 @@ def main(argv=None) -> int:
                         help="override a simulate config's master_seed; other commands take no seed")
     parser.add_argument("--threads", type=int,
                         help="accepted and ignored: sweep cells and simulation runs are serial")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         try:

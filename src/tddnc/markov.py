@@ -135,13 +135,27 @@ def state_completion_time(
     First-step analysis with the self-loop factored out: the round cost
     N_i*T_p + T_w is paid once per visit, and each lower state j < i is
     entered with the binomial probability of exactly i-j arrivals.
+
+    The terms are `_binom_pmf`'s, inlined with the logs of the success and
+    failure probabilities and lgamma(N_i + 1) taken once per call; the
+    operands keep `_binom_pmf`'s order, so every value is bit-identical to
+    it.  A probability of 0 or 1 (or outside [0, 1]) goes through
+    `_binom_pmf` itself: there a log is infinite or undefined.
     """
     stay = Pe**N_i
     progress = 1.0 - stay
     t = (N_i * T_p + T_w) / ((1.0 - Pe_ack) * progress)
     acc = 0.0
-    for j in range(max(1, i - N_i), i):
-        acc += _binom_pmf(i - j, N_i, 1.0 - Pe) * T_lower[j]
+    lo, p = max(1, i - N_i), 1.0 - Pe
+    if lo < i and 0.0 < p < 1.0:
+        lg_n, lp, lq = math.lgamma(N_i + 1), math.log(p), math.log1p(-p)
+        for j in range(lo, i):
+            k = i - j
+            log_pmf = lg_n - math.lgamma(k + 1) - math.lgamma(N_i - k + 1) + k * lp + (N_i - k) * lq
+            acc += math.exp(log_pmf) * T_lower[j]
+    else:
+        for j in range(lo, i):
+            acc += _binom_pmf(i - j, N_i, p) * T_lower[j]
     return t + acc / progress
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +22,30 @@ _RESCORE_REL = 1e-10
 _SCAN_TERMS = 32  # a numpy block costs about as much as this many scalar binomial terms
 
 
+class SearchCounts(NamedTuple):
+    """Candidates N of one state's search, by how they were scored.
+
+    scanned    scored by the scalar scan, N = i included
+    estimated  estimated in numpy blocks
+    rescored   estimates re-scored by the scalar routine
+
+    `state_completion_time` is called scanned + rescored times.
+    """
+
+    scanned: int
+    estimated: int
+    rescored: int
+
+
 @dataclass(frozen=True)
 class OptimalPolicyResult:
-    """An optimized policy, its completion profile, and the per-state search bound used."""
+    """An optimized policy, its completion profile, the per-state search bound used,
+    and the per-state counts of scored candidates."""
 
     policy: Policy
     profile: CompletionProfile
     search_bounds_used: tuple[int, ...]
+    search_counts: tuple[SearchCounts, ...]
 
 
 @dataclass(frozen=True)
@@ -151,14 +169,17 @@ def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
     T: list[float] = [0.0]
     sizes: list[int] = []
     bounds: list[int] = []
+    counts: list[SearchCounts] = []
     for i in range(1, M + 1):
         best_t, best_n = state_completion_time(i, i, T, Pe, Pa, T_p, T_w), i
+        estimated = rescored = 0
         n, scan_end = i + 1, i + max(1, _SCAN_TERMS // i)
         while n < scan_end and (n * T_p + T_w) / (1.0 - Pa) < best_t:
             t = state_completion_time(i, n, T, Pe, Pa, T_p, T_w)
             if t < best_t:
                 best_t, best_n = t, n
             n += 1
+        scanned = n - i
         stopped = not (n * T_p + T_w) / (1.0 - Pa) < best_t
         width = _FIRST_BLOCK
         widest = max(_FIRST_BLOCK, _BLOCK_ENTRIES // max(1, i - 1))
@@ -170,9 +191,12 @@ def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
             if live:
                 log_fact = _log_factorials(log_fact, max(n + live - 1, M + _FIRST_BLOCK))
                 est = _estimates(i, ns[:live], cost[:live], T, Pe, Pa, log_fact)
+                estimated += live
                 low = np.fmin.reduce(est)  # skips NaN
                 if low < math.inf:
-                    for r in (est <= low + low * _RESCORE_REL).nonzero()[0].tolist():
+                    near = (est <= low + low * _RESCORE_REL).nonzero()[0].tolist()
+                    rescored += len(near)
+                    for r in near:
                         t = state_completion_time(i, n + r, T, Pe, Pa, T_p, T_w)
                         if t < best_t:
                             best_t, best_n = t, n + r
@@ -181,11 +205,13 @@ def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
             n, width = n + min(stop, width), min(2 * width, widest)
         sizes.append(best_n)
         bounds.append(n)
+        counts.append(SearchCounts(scanned, estimated, rescored))
         T.append(best_t)
     return OptimalPolicyResult(
         policy=Policy(tuple(sizes)),
         profile=CompletionProfile(tuple(T), tuple(not math.isfinite(t) for t in T)),
         search_bounds_used=tuple(bounds),
+        search_counts=tuple(counts),
     )
 
 

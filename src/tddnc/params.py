@@ -6,12 +6,22 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 def as_int(value, name: str) -> int:
     """`value` as an int; a bool, float, string or other non-integer raises TypeError."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
     return operator.index(value)
+
+
+def _reject_bool(obj, *names: str) -> None:
+    """Raise TypeError if a named real field of `obj` is a bool, which would pass as 0 or 1."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,7 @@ class SystemParams:
     def __post_init__(self):
         for name in ("M", "n", "g", "h", "n_ack"):
             as_int(getattr(self, name), name)
+        _reject_bool(self, "R", "T_rt", "Pe", "Pe_ack")
         if self.M < 1:
             raise ValueError("M must be a positive integer")
         if self.n < 1:
@@ -87,6 +98,7 @@ class Timing:
     T_w: float
 
     def __post_init__(self):
+        _reject_bool(self, "T_p", "T_ack", "T_w")
         if not self.T_p > 0:
             raise ValueError("T_p must be positive")
         if not self.T_ack >= 0:
@@ -102,6 +114,7 @@ class BitChannel:
     Pe_bit: float
 
     def __post_init__(self):
+        _reject_bool(self, "Pe_bit")
         if not 0.0 <= self.Pe_bit < 1.0:
             raise ValueError("Pe_bit must lie in [0, 1)")
 

@@ -216,6 +216,35 @@ def test_seed_flag_overrides_config(tmp_path):
     assert open(a).read() != open(b).read()
 
 
+def test_reused_parser_carries_no_flag_between_calls(tmp_path, capsys):
+    spec = {
+        "schema_version": 1,
+        "command": "simulate",
+        "params": {"M": 3, "n": 1000, "g": 8, "h": 80, "n_ack": 100,
+                   "R": 1e6, "T_rt": 0.1, "Pe": 0.5, "Pe_ack": 0.0},
+        "sim": {"mode": "chain", "runs": 50},
+        "master_seed": 7,
+    }
+    cfg = _write(tmp_path, spec)
+    assert main(["--config", cfg]) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as missing:
+        main(["--format", "json"])
+    assert missing.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as helped:
+        main(["--help"])
+    assert helped.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tddnc ")
+    seeded = tmp_path / "seeded.json"
+    assert main(["--config", cfg, "--seed", "99", "--format", "json", "--out", str(seeded)]) == 0
+    assert json.loads(seeded.read_text())["command"] == "simulate"
+    assert capsys.readouterr().out == ""
+    assert main(["--config", cfg]) == 0
+    assert capsys.readouterr() == first
+    assert cli._parser() is cli._parser()
+
+
 def test_seed_flag_on_specs_without_a_seed(tmp_path):
     spec = {"schema_version": 1, "command": "policy", "params": SATELLITE_PARAMS}
     cfg = _write(tmp_path, spec)

@@ -12,6 +12,7 @@ from tddnc.markov import (
     fixed_window_completion,
     fixed_window_policy,
     full_duplex_completion,
+    state_completion_time,
     sw_mean_throughput,
     transition_prob,
 )
@@ -105,6 +106,45 @@ def test_completion_matches_linear_solve():
         oracle = absorption_times(N, pe, pa, tp, tw)
         for i in range(M):
             assert prof.T[i + 1] == pytest.approx(oracle[i], rel=1e-9)
+
+
+def _reference_step(i, N_i, T_lower, Pe, Pe_ack, T_p, T_w):
+    """The chain step with one binomial pmf per term, in `math` only and in
+    `_binom_pmf`'s operand order: lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
+    + k*log(p) + (n - k)*log1p(-p)."""
+    progress = 1.0 - Pe**N_i
+    t = (N_i * T_p + T_w) / ((1.0 - Pe_ack) * progress)
+    p, acc = 1.0 - Pe, 0.0
+    for j in range(max(1, i - N_i), i):
+        k = i - j
+        if p == 1.0:
+            pmf = 1.0 if k == N_i else 0.0
+        else:
+            log_comb = math.lgamma(N_i + 1) - math.lgamma(k + 1) - math.lgamma(N_i - k + 1)
+            pmf = math.exp(log_comb + k * math.log(p) + (N_i - k) * math.log1p(-p))
+        acc += pmf * T_lower[j]
+    return t + acc / progress
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_state_completion_time_is_bit_identical_to_per_term_pmf():
+    rng = np.random.default_rng(11)
+    edges = [0.0, 1e-17, 1.0 - 1e-12]
+    for k in range(3000):
+        i = int(rng.integers(1, 41))
+        n_i = int(rng.choice([rng.integers(1, i + 1), rng.integers(i, 3 * i + 20),
+                              rng.integers(1, 10**6 + 1), 10**6]))
+        pe = edges[k % 3] if k < 300 else float(rng.uniform(0.0, 1.0) ** rng.choice([1, 8]))
+        T = [0.0] + [float(v) for v in rng.uniform(0.0, 100.0, size=i - 1)]
+        if i > 1 and k % 4 == 0:
+            T[int(rng.integers(1, i))] = float(rng.choice([math.inf, math.nan]))
+        args = (i, n_i, T, pe, float(rng.uniform(0.0, 0.5)), float(rng.uniform(1e-6, 1.0)),
+                float(rng.uniform(0.0, 100.0)))
+        got, want = state_completion_time(*args), _reference_step(*args)
+        assert _same_float(got, want), args
 
 
 def test_completion_monotone_in_ack_loss():

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import lambertw as scipy_lambertw
 
 from chain_oracle import joint_search
+from tddnc import optimizer
 from tddnc.markov import (
     Policy,
     expected_completion,
@@ -104,6 +105,28 @@ def test_optimal_policy_equals_bounded_scalar_search():
         for i, bound in enumerate(res.search_bounds_used, 1):
             assert bound > N[i - 1]
             assert (bound * t.T_p + t.T_w) / (1.0 - pe_ack) >= T[i]
+
+
+def test_search_counts_account_for_every_scalar_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return state_completion_time(*args)
+
+    monkeypatch.setattr(optimizer, "state_completion_time", counted)
+    # M=2 at Pe=0.9 and T_w/T_p = 1000 searches far past its scalar scan
+    cases = [(2, 0.9, 1000.0), (1, 0.0, 1.0), (8, 0.45, 30.0), (16, 0.88, 300.0), (30, 0.99, 5.0)]
+    for M, pe, ratio in cases:
+        t = Timing(T_p=1e-3, T_ack=0.0, T_w=ratio * 1e-3)
+        calls.clear()
+        res = optimal_policy(_sys(M=M, Pe=pe, Pe_ack=0.01), t)
+        assert len(calls) == sum(c.scanned + c.rescored for c in res.search_counts)
+        assert len(res.search_counts) == M
+        assert all(c.scanned >= 1 and 0 <= c.rescored <= c.estimated for c in res.search_counts)
+        assert optimal_policy(_sys(M=M, Pe=pe, Pe_ack=0.01), t).search_counts == res.search_counts
+        if (M, pe) == (2, 0.9):
+            assert sum(c.estimated for c in res.search_counts) > 0
 
 
 def test_optimal_policy_beats_fixed_windows():

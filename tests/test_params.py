@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from tddnc.params import (
@@ -111,6 +112,35 @@ def test_construction_rejects_invalid():
 def test_construction_rejects_non_integer_counts(field, value):
     with pytest.raises(TypeError):
         SystemParams(**{**SATELLITE, field: value})
+
+
+@pytest.mark.parametrize("field", ["R", "T_rt", "Pe", "Pe_ack"])
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_system_params_reject_bool_reals(field, value):
+    with pytest.raises(TypeError, match=field):
+        SystemParams(**{**SATELLITE, field: value})
+    # Python and numpy ints and floats stay accepted
+    SystemParams(**{**SATELLITE, field: np.float64(0.5)})
+    SystemParams(**{**SATELLITE, field: 1 if field in ("R", "T_rt") else 0})
+    SystemParams(**{**SATELLITE, field: np.int64(1) if field in ("R", "T_rt") else np.int64(0)})
+
+
+@pytest.mark.parametrize("field", ["T_p", "T_ack", "T_w"])
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_timing_rejects_bool_times(field, value):
+    base = dict(T_p=1.0, T_ack=0.5, T_w=2.0)
+    with pytest.raises(TypeError, match=field):
+        Timing(**{**base, field: value})
+    Timing(**{**base, field: np.float64(1.0)})
+    Timing(**{**base, field: 1})
+
+
+@pytest.mark.parametrize("value", [True, False, np.False_])
+def test_bit_channel_rejects_bool_probability(value):
+    with pytest.raises(TypeError, match="Pe_bit"):
+        BitChannel(Pe_bit=value)
+    assert BitChannel(Pe_bit=0).Pe_bit == 0
+    assert BitChannel(Pe_bit=np.float32(1e-4)).Pe_bit == np.float32(1e-4)
 
 
 @pytest.mark.parametrize("bits", [True, 2.5, "10"])
