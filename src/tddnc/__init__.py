@@ -12,19 +12,15 @@ from .markov import (
     transition_prob,
 )
 from .optimizer import (
-    ArqParams,
     OptimalPolicyResult,
     ThroughputPoint,
-    arq_timing,
     continuous_optimum_N1,
     eta,
     eta_gbn,
     eta_sr,
     lambert_w_minus1,
     optimal_policy,
-    optimize_block_size,
     optimize_joint,
-    optimize_packet_bits,
 )
 from .params import (
     BitChannel,

@@ -26,7 +26,7 @@ from .markov import (
     fixed_window_policy,
     full_duplex_completion,
 )
-from .optimizer import ArqParams, arq_timing, eta_gbn, eta_sr, optimal_policy
+from .optimizer import eta_gbn, eta_sr, optimal_policy
 from .params import BitChannel, SystemParams, derive_timing, with_bit_channel
 from .rlnc import GaloisField
 from .simulator import SimConfig, simulate
@@ -271,9 +271,7 @@ def _scheme_row(scheme, sys, timing, metric, cell, fd_time) -> dict:
     """The output row of one scheme at one parameter point of full-duplex time `fd_time`."""
     label, kind, arg = scheme
     if kind in ("gbn", "sr"):
-        arq = ArqParams(W=arg, packet_bits=sys.h + sys.n)
-        t_arq = arq_timing(sys, arq)
-        value = eta_gbn(sys, t_arq, arq) if kind == "gbn" else eta_sr(sys, t_arq, arq)
+        value = (eta_gbn if kind == "gbn" else eta_sr)(sys, arg)
         return _row(cell, label, "eta_bps", value, W=arg)
     if kind == "full-duplex":
         t_block = fd_time

@@ -44,13 +44,11 @@ def fixed_window_policy(omega: int, M: int) -> Policy:
 class CompletionProfile:
     """Expected seconds to finish from each deficit state; T[0] == 0.
 
-    States from which absorption is impossible are flagged in
-    `unreachable` instead of carrying a floating infinity through
-    arithmetic (keeps optimizer comparisons well-defined).
+    A state from which absorption is impossible, or whose time overflowed,
+    holds inf (or NaN) and makes the profile not `finite`.
     """
 
     T: tuple[float, ...]
-    unreachable: tuple[bool, ...]
 
     @property
     def T_M(self) -> float:
@@ -58,7 +56,7 @@ class CompletionProfile:
 
     @property
     def finite(self) -> bool:
-        return not any(self.unreachable)
+        return all(map(math.isfinite, self.T))
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -77,10 +75,30 @@ def _binom_pmf(k: int, n: int, p: float) -> float:
 
 
 def _binom_tail(k: int, n: int, p: float) -> float:
-    """P[Binomial(n, p) >= k]."""
+    """P[Binomial(n, p) >= k], summed only over the terms that count.
+
+    Past the mean the pmf only shrinks, so for k > n*p the terms from k up
+    are added until one no longer changes the sum: every later term is
+    smaller, and the result equals the left-to-right sum of all n - k + 1
+    terms bit for bit.  For k <= n*p the tail is at least 1/2, so it is
+    1 - P[X < k], with that lower sum taken the same way from k - 1 down.
+    """
     if k <= 0:
         return 1.0
-    return sum(_binom_pmf(j, n, p) for j in range(k, n + 1))
+    if k > n * p:
+        return _shrinking_sum(range(k, n + 1), n, p)
+    return 1.0 - _shrinking_sum(range(k - 1, -1, -1), n, p)
+
+
+def _shrinking_sum(ks, n: int, p: float) -> float:
+    """Sum of the pmf over `ks`, whose terms shrink, up to the first term that adds nothing."""
+    acc = 0.0
+    for k in ks:
+        t = _binom_pmf(k, n, p)
+        if acc + t == acc:
+            break
+        acc += t
+    return acc
 
 
 def transition_prob(i: int, j: int, N_i: int, Pe: float, Pe_ack: float) -> float:
@@ -164,14 +182,11 @@ def expected_completion(policy: Policy, sys: SystemParams, timing: Timing) -> Co
     if policy.M != sys.M:
         raise ValueError("policy length must equal the block size M")
     T = [0.0]
-    bad = [False]
     for i in range(1, sys.M + 1):
-        t = state_completion_time(
+        T.append(state_completion_time(
             i, policy.N[i - 1], T, sys.Pe, sys.Pe_ack, timing.T_p, timing.T_w
-        )
-        T.append(t)
-        bad.append(not math.isfinite(t))
-    return CompletionProfile(tuple(T), tuple(bad))
+        ))
+    return CompletionProfile(tuple(T))
 
 
 def fixed_window_completion(omega: int, sys: SystemParams, timing: Timing) -> CompletionProfile:

@@ -49,26 +49,6 @@ class OptimalPolicyResult:
 
 
 @dataclass(frozen=True)
-class ArqParams:
-    """Window size and packet size of a Go-Back-N / Selective Repeat sender.
-
-    ARQ data packets carry no encoding coefficients, so packet_bits is
-    header + payload only.
-    """
-
-    W: int
-    packet_bits: int
-
-    def __post_init__(self):
-        for name in ("W", "packet_bits"):
-            as_int(getattr(self, name), name)
-        if self.W < 1:
-            raise ValueError("window size must be >= 1")
-        if self.packet_bits < 1:
-            raise ValueError("packet_bits must be positive")
-
-
-@dataclass(frozen=True)
 class ThroughputPoint:
     """One evaluated (n, M) cell: the block throughput and the policy achieving it."""
 
@@ -209,7 +189,7 @@ def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
         T.append(best_t)
     return OptimalPolicyResult(
         policy=Policy(tuple(sizes)),
-        profile=CompletionProfile(tuple(T), tuple(not math.isfinite(t) for t in T)),
+        profile=CompletionProfile(tuple(T)),
         search_bounds_used=tuple(bounds),
         search_counts=tuple(counts),
     )
@@ -291,56 +271,50 @@ def continuous_optimum_N1(sys: SystemParams, timing: Timing) -> float:
     return (1.0 + w) / ln_pe - ratio
 
 
-def eta(sys: SystemParams, timing: Timing, policy: Policy) -> float:
-    """Block throughput M*n / T_M in bits/second for the given policy."""
-    profile = expected_completion(policy, sys, timing)
+def _block_eta(sys: SystemParams, profile: CompletionProfile) -> float:
+    """M*n / T_M of `profile`; a non-finite profile raises ValueError."""
     if not profile.finite:
         raise ValueError("completion time is not finite under this policy")
     return sys.M * sys.n / profile.T_M
 
 
-def arq_timing(sys: SystemParams, arq: ArqParams) -> Timing:
-    """Timing for an uncoded ARQ sender on the same link (no coefficient overhead)."""
-    return replace(derive_timing(sys), T_p=arq.packet_bits / sys.R)
+def eta(sys: SystemParams, timing: Timing, policy: Policy) -> float:
+    """Block throughput M*n / T_M in bits/second for the given policy."""
+    return _block_eta(sys, expected_completion(policy, sys, timing))
 
 
-def eta_gbn(sys: SystemParams, timing_arq: Timing, arq: ArqParams) -> float:
-    """Half-duplex Go-Back-N throughput; the Pe = 0 limit equals Selective Repeat's."""
-    cycle = arq.W * timing_arq.T_p + timing_arq.T_w
+def _arq_cycle(sys: SystemParams, W: int) -> float:
+    """Seconds of one ARQ round: W uncoded packets of h + n bits, then the
+    coded link's wait for an ACK.  W must be an integer >= 1."""
+    if as_int(W, "W") < 1:
+        raise ValueError("window size must be >= 1")
+    return W * ((sys.h + sys.n) / sys.R) + derive_timing(sys).T_w
+
+
+def eta_gbn(sys: SystemParams, W: int) -> float:
+    """Half-duplex Go-Back-N throughput, window W; the Pe = 0 limit equals Selective Repeat's."""
+    cycle = _arq_cycle(sys, W)
     if sys.Pe == 0.0:
-        return arq.W * sys.n / cycle
+        return W * sys.n / cycle
     keep = 1.0 - sys.Pe
     # 1 - (1-Pe)**W via expm1 so the small-Pe limit does not cancel away
-    window_loss = -math.expm1(arq.W * math.log1p(-sys.Pe))
+    window_loss = -math.expm1(W * math.log1p(-sys.Pe))
     return sys.n * keep * window_loss / (cycle * sys.Pe)
 
 
-def eta_sr(sys: SystemParams, timing_arq: Timing, arq: ArqParams) -> float:
-    """Half-duplex Selective Repeat throughput: W*n*(1-Pe) / (W*T_p + T_w)."""
-    cycle = arq.W * timing_arq.T_p + timing_arq.T_w
-    return arq.W * sys.n * (1.0 - sys.Pe) / cycle
-
-
-def optimize_packet_bits(sys: SystemParams, bc: BitChannel, n_range) -> ThroughputPoint:
-    """Best payload size in `n_range` at fixed M; erasures track n through the bit channel.
-
-    Ties break toward the smaller n.
-    """
-    return optimize_joint(sys, bc, n_range, [sys.M])
-
-
-def optimize_block_size(sys: SystemParams, bc: BitChannel, M_range) -> ThroughputPoint:
-    """Best block size in `M_range` at fixed n; note Pe grows with M through the g*M coefficient bits.
-
-    Ties break toward the smaller M.
-    """
-    return optimize_joint(sys, bc, [sys.n], M_range)
+def eta_sr(sys: SystemParams, W: int) -> float:
+    """Half-duplex Selective Repeat throughput: W*n*(1-Pe) / (W*(h+n)/R + T_w)."""
+    cycle = _arq_cycle(sys, W)
+    return W * sys.n * (1.0 - sys.Pe) / cycle
 
 
 def optimize_joint(sys: SystemParams, bc: BitChannel, n_range, M_range) -> ThroughputPoint:
     """Exhaustive maximization of eta over the (M, n) grid; each cell re-optimizes the policy.
 
-    Ties break toward the lexicographically smaller (M, n).
+    A one-element range fixes that axis: `[sys.M]` searches packet sizes
+    alone, `[sys.n]` block sizes alone.  Erasures track each cell's packet
+    of h + n + g*M bits through the bit channel.  Ties break toward the
+    lexicographically smaller (M, n).
     """
     n_candidates = sorted({int(v) for v in n_range})
     m_candidates = sorted({int(v) for v in M_range})
@@ -350,9 +324,8 @@ def optimize_joint(sys: SystemParams, bc: BitChannel, n_range, M_range) -> Throu
     for m in m_candidates:
         for n in n_candidates:
             s = with_bit_channel(replace(sys, M=m, n=n), bc)
-            timing = derive_timing(s)
-            policy = optimal_policy(s, timing).policy
-            e = eta(s, timing, policy)
+            found = optimal_policy(s, derive_timing(s))
+            e = _block_eta(s, found.profile)
             if best is None or e > best.eta:
-                best = ThroughputPoint(n=n, M=m, eta=e, policy=policy)
+                best = ThroughputPoint(n=n, M=m, eta=e, policy=found.policy)
     return best

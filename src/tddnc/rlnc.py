@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .params import as_int
@@ -279,29 +277,3 @@ class Decoder:
                     x ^= self.field.scale(row[k], out[k])
             out[p] = x
         return out
-
-
-def pack_bits(data: bytes, n_bits: int, g: int) -> np.ndarray:
-    """First n_bits of `data` (MSB-first) as ceil(n_bits/g) field symbols, zero-padded."""
-    if n_bits < 1:
-        raise ValueError("n_bits must be positive")
-    if n_bits > 8 * len(data):
-        raise ValueError("data is shorter than n_bits")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n_bits]
-    symbols = math.ceil(n_bits / g)
-    padded = np.zeros(symbols * g, dtype=np.uint8)
-    padded[:n_bits] = bits
-    weights = 1 << np.arange(g - 1, -1, -1, dtype=np.int64)
-    return padded.reshape(symbols, g) @ weights
-
-
-def unpack_bits(symbols: np.ndarray, n_bits: int, g: int) -> bytes:
-    """Inverse of pack_bits: strip the padding and rebuild the byte string."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.size * g < n_bits:
-        raise ValueError("not enough symbols for n_bits")
-    shifts = np.arange(g - 1, -1, -1, dtype=np.int64)
-    bits = ((symbols[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)[:n_bits]
-    out = np.zeros(math.ceil(n_bits / 8) * 8, dtype=np.uint8)
-    out[:n_bits] = bits
-    return np.packbits(out).tobytes()

@@ -19,8 +19,6 @@ from tddnc.markov import (
     full_duplex_completion,
 )
 from tddnc.optimizer import (
-    ArqParams,
-    arq_timing,
     continuous_optimum_N1,
     eta,
     eta_gbn,
@@ -130,10 +128,8 @@ def test_criterion_05_fixed_windows_pay_heavily():
 def _arq_comparison(t_rt: float, pe: float):
     sys = SystemParams(**{**ARQ_LINK, "T_rt": t_rt}, Pe=pe, Pe_ack=0.0)
     t = derive_timing(sys)
-    arq = ArqParams(W=10, packet_bits=sys.h + sys.n)
-    t_arq = arq_timing(sys, arq)
     nc = eta(sys, t, optimal_policy(sys, t).policy)
-    return nc, eta_sr(sys, t_arq, arq), eta_gbn(sys, t_arq, arq)
+    return nc, eta_sr(sys, 10), eta_gbn(sys, 10)
 
 
 def test_criterion_06_beats_selective_repeat_at_high_loss_and_latency():

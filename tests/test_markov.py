@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from chain_oracle import absorption_times, enumerated_transition
+from tddnc import markov
 from tddnc.markov import (
     CompletionProfile,
     Policy,
@@ -62,6 +64,51 @@ def test_transition_rejects_bad_states():
         transition_prob(2, 3, 5, 0.1, 0.0)
     with pytest.raises(ValueError):
         transition_prob(2, 1, 0, 0.1, 0.0)
+
+
+def _full_tail(k, n, p):
+    """P[Binomial(n, p) >= k] as the left-to-right sum of all n - k + 1 pmf
+    terms, each in `_binom_pmf`'s operand order."""
+    acc = 0.0
+    for m in range(k, n + 1):
+        if p == 1.0:
+            acc += 1.0 if m == n else 0.0
+            continue
+        log_comb = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+        acc += math.exp(log_comb + m * math.log(p) + (n - m) * math.log1p(-p))
+    return acc
+
+
+def test_completion_in_one_round_above_the_mean_equals_the_full_sum():
+    for n in (1, 2, 5, 17, 100, 400):
+        for pe in (0.0, 0.01, 0.2, 0.5, 0.63, 0.9, 1 - 1e-6):
+            p = 1.0 - pe
+            for k in range(1, n + 1):
+                if k > n * p:
+                    assert transition_prob(k, 0, n, pe, 0.0) == _full_tail(k, n, p)
+
+
+def test_completion_in_one_round_at_or_below_the_mean_matches_scipy():
+    # the log-domain pmf itself drifts by about n * 1e-15 relative, summed or not
+    for n in (1, 10, 100, 1000):
+        for pe in (0.0, 0.01, 0.3, 0.5, 0.8, 0.99):
+            p = 1.0 - pe
+            mean = n * p
+            for k in {1, int(mean * 0.5), int(mean - 3 * math.sqrt(mean)), int(mean)}:
+                if 1 <= k <= mean:
+                    want = float(binom.sf(k - 1, n, p))
+                    assert transition_prob(k, 0, n, pe, 0.0) == pytest.approx(want, rel=1e-11)
+
+
+def test_completion_in_one_round_sums_only_the_terms_that_count(monkeypatch):
+    terms = []
+    pmf = markov._binom_pmf
+    monkeypatch.setattr(markov, "_binom_pmf", lambda k, n, p: terms.append(k) or pmf(k, n, p))
+    transition_prob(1, 0, 10**7, 0.5, 0.0)
+    assert len(terms) <= 2
+    terms.clear()
+    transition_prob(4_000_000, 0, 10**7, 0.6, 0.0)
+    assert len(terms) <= 50_000
 
 
 def test_extra_receptions_values():
@@ -271,5 +318,10 @@ def test_sw_throughput_requires_single_packet_block():
 
 
 def test_profile_flags():
-    prof = CompletionProfile(T=(0.0, 1.0), unreachable=(False, False))
+    prof = CompletionProfile(T=(0.0, 1.0))
     assert prof.finite and prof.T_M == 1.0
+
+
+def test_profile_with_an_infinite_state_is_not_finite():
+    assert CompletionProfile((0.0, math.inf)).finite is False
+    assert CompletionProfile((0.0, math.nan, 1.0)).finite is False

@@ -13,17 +13,13 @@ from tddnc.markov import (
     state_completion_time,
 )
 from tddnc.optimizer import (
-    ArqParams,
-    arq_timing,
     continuous_optimum_N1,
     eta,
     eta_gbn,
     eta_sr,
     lambert_w_minus1,
     optimal_policy,
-    optimize_block_size,
     optimize_joint,
-    optimize_packet_bits,
 )
 from tddnc.params import BitChannel, SystemParams, Timing, derive_timing
 
@@ -232,65 +228,62 @@ def test_eta_optimal_dominates():
 
 def test_arq_baselines_direct_values():
     sys = SystemParams(**HIGH_RATE, Pe=0.8)
-    arq = ArqParams(W=10, packet_bits=sys.h + sys.n)
-    t = arq_timing(sys, arq)
-    assert t.T_p == pytest.approx(0.001008, rel=1e-15)
-    assert eta_sr(sys, t, arq) == pytest.approx(76896.45891806683, rel=1e-12)
-    assert eta_gbn(sys, t, arq) == pytest.approx(9612.056380483678, rel=1e-12)
+    assert (sys.h + sys.n) / sys.R == pytest.approx(0.001008, rel=1e-15)
+    assert eta_sr(sys, 10) == pytest.approx(76896.45891806683, rel=1e-12)
+    assert eta_gbn(sys, 10) == pytest.approx(9612.056380483678, rel=1e-12)
 
 
 def test_arq_timing_shares_the_coded_links_ack_wait():
+    # uncoded packets of h + n bits, then the coded link's wait for an ACK
+    W = 3
     for sys in (SystemParams(**SATELLITE, Pe=0.3), SystemParams(**HIGH_RATE), _sys()):
-        arq = ArqParams(W=3, packet_bits=sys.h + sys.n)
-        t, coded = arq_timing(sys, arq), derive_timing(sys)
-        assert (t.T_p, t.T_ack, t.T_w) == (arq.packet_bits / sys.R, coded.T_ack, coded.T_w)
+        cycle = W * ((sys.h + sys.n) / sys.R) + derive_timing(sys).T_w
+        assert eta_sr(sys, W) == W * sys.n * (1.0 - sys.Pe) / cycle
 
 
 def test_arq_baselines_agree_at_zero_loss():
     sys = SystemParams(**HIGH_RATE, Pe=0.0)
-    arq = ArqParams(W=10, packet_bits=sys.h + sys.n)
-    t = arq_timing(sys, arq)
-    assert eta_gbn(sys, t, arq) == pytest.approx(eta_sr(sys, t, arq), rel=1e-12)
+    assert eta_gbn(sys, 10) == pytest.approx(eta_sr(sys, 10), rel=1e-12)
     # and the limit is continuous from above
     tiny = SystemParams(**HIGH_RATE, Pe=1e-12)
-    assert eta_gbn(tiny, t, arq) == pytest.approx(eta_gbn(sys, t, arq), rel=1e-6)
+    assert eta_gbn(tiny, 10) == pytest.approx(eta_gbn(sys, 10), rel=1e-6)
 
 
 def test_gbn_never_beats_sr():
     for pe in np.linspace(0.01, 0.99, 25):
         for W in (1, 2, 5, 10, 40):
             sys = SystemParams(**HIGH_RATE, Pe=float(pe))
-            arq = ArqParams(W=W, packet_bits=sys.h + sys.n)
-            t = arq_timing(sys, arq)
-            assert eta_gbn(sys, t, arq) <= eta_sr(sys, t, arq) * (1 + 1e-12)
+            assert eta_gbn(sys, W) <= eta_sr(sys, W) * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("field", ["W", "packet_bits"])
+@pytest.mark.parametrize("field", ["W"])
 @pytest.mark.parametrize("value", [True, 2.5, 10.0, "10"])
 def test_arq_params_reject_non_integer_sizes(field, value):
-    with pytest.raises(TypeError):
-        ArqParams(**{"W": 7, "packet_bits": 10080, field: value})
+    sys = SystemParams(**HIGH_RATE)
+    for arq_eta in (eta_gbn, eta_sr):
+        with pytest.raises(TypeError, match=field):
+            arq_eta(sys, value)
+        with pytest.raises(ValueError, match="window"):
+            arq_eta(sys, 0)
 
 
 def test_sr_linear_in_delivery_rate():
-    arq = ArqParams(W=7, packet_bits=10080)
-    t = arq_timing(SystemParams(**HIGH_RATE), arq)
-    base = eta_sr(SystemParams(**HIGH_RATE, Pe=0.0), t, arq)
+    base = eta_sr(SystemParams(**HIGH_RATE, Pe=0.0), 7)
     for pe in (0.25, 0.5, 0.75):
-        assert eta_sr(SystemParams(**HIGH_RATE, Pe=pe), t, arq) == pytest.approx(
+        assert eta_sr(SystemParams(**HIGH_RATE, Pe=pe), 7) == pytest.approx(
             base * (1 - pe), rel=1e-12
         )
 
 
 def test_optimize_packet_bits_error_free_prefers_largest():
     sys = SystemParams(M=4, n=1000, g=8, h=80, n_ack=100, R=1e6, T_rt=0.05)
-    best = optimize_packet_bits(sys, BitChannel(0.0), [500, 1000, 4000, 16000])
+    best = optimize_joint(sys, BitChannel(0.0), [500, 1000, 4000, 16000], [sys.M])
     assert best.n == 16000
 
 
 def test_optimize_packet_bits_singleton():
     sys = SystemParams(M=4, n=1000, g=8, h=80, n_ack=100, R=1e6, T_rt=0.05)
-    best = optimize_packet_bits(sys, BitChannel(1e-5), [2000])
+    best = optimize_joint(sys, BitChannel(1e-5), [2000], [sys.M])
     assert best.n == 2000 and best.M == 4
     assert best.eta > 0
 
@@ -298,16 +291,14 @@ def test_optimize_packet_bits_singleton():
 def test_optimize_packet_bits_interior_peak():
     sys = SystemParams(M=10, n=10000, g=100, h=80, n_ack=100, R=1e8, T_rt=0.25)
     grid = [500, 2000, 8000, 32000, 64000]
-    best = optimize_packet_bits(sys, BitChannel(1e-4), grid)
+    best = optimize_joint(sys, BitChannel(1e-4), grid, [sys.M])
     assert best.n not in (500, 64000)
 
 
 def test_optimize_rejects_empty_ranges():
     sys = SystemParams(M=2, n=100, g=4, h=0, n_ack=10, R=1e6)
     with pytest.raises(ValueError):
-        optimize_packet_bits(sys, BitChannel(0.0), [])
-    with pytest.raises(ValueError):
-        optimize_block_size(sys, BitChannel(0.0), [])
+        optimize_joint(sys, BitChannel(0.0), [sys.n], [])
     with pytest.raises(ValueError):
         optimize_joint(sys, BitChannel(0.0), [], [100])
 
@@ -317,9 +308,9 @@ def test_optimize_block_size_growing_when_stops_dominate():
     sys = SystemParams(M=1, n=1000, g=8, h=80, n_ack=100, R=1e6, T_rt=5.0)
     etas = []
     for m in (1, 2, 4, 8):
-        etas.append(optimize_block_size(sys, BitChannel(0.0), [m]).eta)
+        etas.append(optimize_joint(sys, BitChannel(0.0), [sys.n], [m]).eta)
     assert etas == sorted(etas)
-    best = optimize_block_size(sys, BitChannel(0.0), [1, 2, 4, 8])
+    best = optimize_joint(sys, BitChannel(0.0), [sys.n], [1, 2, 4, 8])
     assert best.M == 8
 
 
@@ -329,8 +320,8 @@ def test_optimize_joint_contains_axis_optima():
     n_grid = [2000, 8000, 32000]
     m_grid = [2, 10, 30]
     joint = optimize_joint(sys, bc, n_grid, m_grid)
-    by_n = optimize_packet_bits(sys, bc, n_grid)
-    by_m = optimize_block_size(SystemParams(**{**SATELLITE, "R": 1e8}), bc, m_grid)
+    by_n = optimize_joint(sys, bc, n_grid, [sys.M])
+    by_m = optimize_joint(sys, bc, [sys.n], m_grid)
     assert joint.eta >= by_n.eta * (1 - 1e-12)
     assert joint.eta >= by_m.eta * (1 - 1e-12)
     assert joint.n in n_grid and joint.M in m_grid
@@ -342,11 +333,9 @@ def test_joint_matches_axiswise_maximum():
     n_grid = [1000, 4000, 16000]
     m_grid = [2, 5, 10]
     joint = optimize_joint(sys, bc, n_grid, m_grid)
-    from dataclasses import replace
-
     best = None
     for m in m_grid:
-        cand = optimize_packet_bits(replace(sys, M=m), bc, n_grid)
+        cand = optimize_joint(sys, bc, n_grid, [m])
         if best is None or cand.eta > best.eta:
             best = cand
     assert joint.eta == pytest.approx(best.eta, rel=1e-12)
@@ -356,7 +345,7 @@ def test_joint_matches_axiswise_maximum():
 def test_throughput_point_invariant():
     sys = SystemParams(M=5, n=4000, g=16, h=80, n_ack=100, R=1e7, T_rt=0.02)
     bc = BitChannel(2e-5)
-    point = optimize_packet_bits(sys, bc, [1000, 4000, 16000])
+    point = optimize_joint(sys, bc, [1000, 4000, 16000], [sys.M])
     from tddnc.params import with_bit_channel
 
     s = with_bit_channel(SystemParams(**{**sys.__dict__, "n": point.n}), bc)

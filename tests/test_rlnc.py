@@ -9,9 +9,7 @@ from tddnc.rlnc import (
     Decoder,
     GaloisField,
     encode,
-    pack_bits,
     random_coefficients,
-    unpack_bits,
 )
 
 
@@ -414,14 +412,3 @@ def test_decode_requires_full_rank():
     dec = Decoder(GaloisField(4), 3, 2)
     with pytest.raises(ValueError):
         dec.decode()
-
-
-def test_bit_packing_round_trip_and_padding():
-    data = bytes(range(64))
-    for n_bits, g in ((512, 8), (500, 8), (100, 7), (1, 3), (511, 16), (37, 5)):
-        symbols = pack_bits(data, n_bits, g)
-        assert len(symbols) == -(-n_bits // g)
-        back = unpack_bits(symbols, n_bits, g)
-        orig = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n_bits]
-        got = np.unpackbits(np.frombuffer(back, dtype=np.uint8))[:n_bits]
-        assert np.array_equal(orig, got)
