@@ -198,64 +198,55 @@ def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
 _BRANCH_POINT = -math.exp(-1.0)
 
 
+def _w_minus1_at(d: float) -> float:
+    """W_{-1}(-exp(-1 - d)) for d >= 0, as -u for the root u >= 1 of u - ln(u) = 1 + d.
+
+    Halley's method in e = u - 1 on f(e) = e - log1p(e) - d.  Taking d
+    itself, not 1 + d, keeps its digits near the branch point d = 0, where
+    u ~ 1 + sqrt(2d).  It starts from u = 1 + sqrt(2d) + 2d/3 when d < 1,
+    else from u = s + ln(s) with s = 1 + d, and stops at an exact root, when
+    a step no longer moves u, or when a step is no smaller than the one
+    before it (the rounding floor; Halley steps shrink cubically).
+    """
+    if d < 1.0:
+        e = math.sqrt(2.0 * d) + 2.0 * d / 3.0
+    else:
+        e = d + math.log1p(d)
+    u, last = 1.0 + e, math.inf
+    while True:
+        f = e - math.log1p(e) - d
+        if not f:
+            return -u
+        # f' = e/u and f'' = 1/u**2; this form of the Halley step cannot overflow
+        step = f * u / (e - f / (2.0 * e))
+        if not abs(step) < last:
+            return -u
+        e, last = e - step, abs(step)
+        if 1.0 + e == u:
+            return -u
+        u = 1.0 + e
+
+
 def lambert_w_minus1(x: float) -> float:
     """Lower real branch of w*exp(w) = x for x in [-1/e, 0).
 
-    Initial guess: the asymptotic ln(-x) - ln(-ln(-x)) away from the branch
-    point, the square-root series at it; then damped Halley refinement of
-    the defining equation to 1e-12 relative residual or better.
+    With u = -w the defining equation reads u - ln(u) = -ln(-x) >= 1,
+    which `_w_minus1_at` solves.
     """
     if not (_BRANCH_POINT <= x < 0.0):
         raise ValueError("argument must lie in [-1/e, 0)")
     if x == _BRANCH_POINT:
         return -1.0
-    if x > -0.25:
-        l1 = math.log(-x)
-        w = l1 - math.log(-l1)
-    else:
-        p = -math.sqrt(2.0 * (1.0 + math.e * x))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    if w > -1.0:
-        w = -1.0 - 1e-9
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= 1e-14 * abs(x):
-            break
-        wp1 = w + 1.0
-        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w_next = w - step
-        if w_next >= -1.0:
-            w_next = 0.5 * (w - 1.0)
-        if w_next == w:
-            break
-        w = w_next
-    return w
-
-
-def _lambert_w_minus1_negexp(s: float) -> float:
-    """W_{-1}(-exp(-s)) for large s, where -exp(-s) itself would underflow.
-
-    Fixed point of w = -s - ln(-w); contraction factor 1/|w| makes a few
-    sweeps plenty.
-    """
-    w = -s - math.log(s)
-    for _ in range(60):
-        w_next = -s - math.log(-w)
-        if abs(w_next - w) <= 1e-15 * abs(w):
-            return w_next
-        w = w_next
-    return w
+    return _w_minus1_at(-math.log(-x) - 1.0)
 
 
 def continuous_optimum_N1(sys: SystemParams, timing: Timing) -> float:
     """Real-valued stationary point of T_1(N) for the single-packet block.
 
-    N* = (1 + W_{-1}(-exp(-1 + ln(Pe)*T_w/T_p))) / ln(Pe) - T_w/T_p.
-    The exponent is below -1, so the argument always falls inside
-    (-1/e, 0); when it is too small to represent, the branch is evaluated
-    from the exponent directly.  Undefined at Pe = 0, where the discrete
-    optimum is 1.
+    N* = (1 + W_{-1}(-exp(-1 - d))) / ln(Pe) - T_w/T_p with d = -ln(Pe)*T_w/T_p.
+    d is positive, so the argument falls inside (-1/e, 0); the branch is
+    solved from d directly, so no exp underflows however large d is.
+    Undefined at Pe = 0, where the discrete optimum is 1.
     """
     if sys.M != 1:
         raise ValueError("closed form applies to M = 1")
@@ -263,12 +254,7 @@ def continuous_optimum_N1(sys: SystemParams, timing: Timing) -> float:
         raise ValueError("Pe must lie in (0, 1); at Pe = 0 the discrete optimum is 1")
     ratio = timing.T_w / timing.T_p
     ln_pe = math.log(sys.Pe)
-    exponent = -1.0 + ln_pe * ratio
-    if exponent < -700.0:
-        w = _lambert_w_minus1_negexp(-exponent)
-    else:
-        w = lambert_w_minus1(-math.exp(exponent))
-    return (1.0 + w) / ln_pe - ratio
+    return (1.0 + _w_minus1_at(-ln_pe * ratio)) / ln_pe - ratio
 
 
 def _block_eta(sys: SystemParams, profile: CompletionProfile) -> float:
@@ -316,8 +302,8 @@ def optimize_joint(sys: SystemParams, bc: BitChannel, n_range, M_range) -> Throu
     of h + n + g*M bits through the bit channel.  Ties break toward the
     lexicographically smaller (M, n).
     """
-    n_candidates = sorted({int(v) for v in n_range})
-    m_candidates = sorted({int(v) for v in M_range})
+    n_candidates = sorted({as_int(v, "n") for v in n_range})
+    m_candidates = sorted({as_int(v, "M") for v in M_range})
     if not n_candidates or not m_candidates:
         raise ValueError("grids must be non-empty")
     best: ThroughputPoint | None = None

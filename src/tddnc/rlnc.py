@@ -156,23 +156,17 @@ def random_coefficients(field: GaloisField, M: int, rng: np.random.Generator) ->
     return rng.integers(0, field.q, size=M, dtype=np.int64)
 
 
-def encode(
-    field: GaloisField,
-    block: np.ndarray,
-    coefficients: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> CodedPacket:
-    """Linear combination of the block's M payload rows under random (or given) coefficients."""
+def encode(field: GaloisField, block: np.ndarray, coefficients: np.ndarray) -> CodedPacket:
+    """Linear combination of the block's M payload rows under the given coefficients."""
     block = np.asarray(block, dtype=np.int64)
     if block.ndim != 2:
         raise ValueError("block must be an (M, symbols) array")
-    if coefficients is None:
-        if rng is None:
-            raise ValueError("either coefficients or an rng must be supplied")
-        coefficients = random_coefficients(field, block.shape[0], rng)
     coefficients = np.asarray(coefficients, dtype=np.int64)
     if coefficients.shape != (block.shape[0],):
         raise ValueError("coefficient vector length must equal the block size")
+    for name, values in (("block symbols", block), ("coefficients", coefficients)):
+        if ((values < 0) | (values >= field.q)).any():
+            raise ValueError(f"{name} must lie in [0, q)")
     payload = np.zeros(block.shape[1], dtype=np.int64)
     for c, row in zip(coefficients, block):
         if c:
@@ -184,14 +178,14 @@ class Decoder:
     """Incremental Gaussian elimination over received packets, tracking received dofs.
 
     The basis is kept in echelon form, keyed by pivot column: the row held
-    at pivot p has zeros left of p and a 1 at p.  `reduce_row`, the one
-    elimination routine, reduces a new coefficient vector against the held
-    pivots only, with scalar log/antilog lookups over Python ints, and never
+    at pivot p is one list of Python ints, the M coefficients followed by
+    the payload symbols, with zeros left of p and a 1 at p.  `reduce_row`,
+    the one elimination routine, reduces a new row against the held pivots
+    only, with scalar log/antilog lookups over all of its columns, and never
     touches an older row again, so the rank is known after every packet.
     `absorb` checks a packet's shape and symbol range, then calls it; the
-    simulator, which draws its rows in [0, q) itself, calls it directly.
-    Payloads stay numpy rows and are reduced alongside only when the decoder
-    carries payload symbols.
+    simulator, which draws its M-long rows in [0, q) itself and carries no
+    payload, calls it directly.
     `decode` back-substitutes once, from the last pivot up.
     """
 
@@ -207,8 +201,7 @@ class Decoder:
         # views, not list copies: a copy of the g = 16 tables costs several MB
         self._exp = memoryview(field._exp)
         self._log = memoryview(field._log)
-        self._rows: list[list[int] | None] = [None] * M          # coefficients by pivot
-        self._payloads: list[np.ndarray | None] = [None] * M     # payload by pivot
+        self._rows: list[list[int] | None] = [None] * M  # coefficients + payload by pivot
         self._rank = 0
 
     @property
@@ -225,23 +218,21 @@ class Decoder:
         v = packet.coefficients.tolist()
         if min(v) < 0 or max(v) >= q:
             raise ValueError("packet coefficients must lie in [0, q)")
-        payload = None
-        if self.payload_symbols:
-            payload = packet.payload
-            if payload.min() < 0 or payload.max() >= q:
-                raise ValueError("packet payload symbols must lie in [0, q)")
-        return self.reduce_row(v, payload)
+        payload = packet.payload.tolist()
+        if payload and (min(payload) < 0 or max(payload) >= q):
+            raise ValueError("packet payload symbols must lie in [0, q)")
+        return self.reduce_row(v + payload)
 
-    def reduce_row(self, v: list[int], payload: np.ndarray | None = None) -> int:
-        """Fold a coefficient vector into the basis; returns 1 if it raised the rank, else 0.
+    def reduce_row(self, v: list[int]) -> int:
+        """Fold a row into the basis; returns 1 if it raised the rank, else 0.
 
-        Unchecked: `v` must be a list of M Python ints in [0, q), and is
-        overwritten; `payload` must be given exactly when the decoder
-        carries payload symbols.  `absorb` checks a packet, then calls this.
+        Unchecked: `v` must be a list of Python ints in [0, q), the M
+        coefficients followed by the payload symbols (none on a rank-only
+        decoder), and is overwritten.  `absorb` checks a packet, then calls this.
         """
-        M, q = self.M, self.field.q
+        q, width = self.field.q, len(v)
         exp, log, rows = self._exp, self._log, self._rows
-        for col in range(M):
+        for col in range(self.M):
             a = v[col]
             if not a:
                 continue
@@ -250,30 +241,28 @@ class Decoder:
                 # first free pivot: normalize it to 1 and hold the row there
                 inv = q - 1 - log[a]
                 rows[col] = [0] * col + [exp[log[x] + inv] if x else 0 for x in v[col:]]
-                if payload is not None:
-                    self._payloads[col] = self.field.scale(exp[inv], payload)
                 self._rank += 1
                 return 1
             la = log[a]
-            for k in range(col + 1, M):
+            for k in range(col + 1, width):
                 r = row[k]
                 if r:
                     v[k] ^= exp[log[r] + la]
-            if payload is not None:
-                payload = payload ^ self.field.scale(a, self._payloads[col])
         return 0
 
     def decode(self) -> np.ndarray:
         """The original (M, symbols) block; requires full rank."""
         if self.rank < self.M:
             raise ValueError("decoding requires rank M")
-        out = np.zeros((self.M, self.payload_symbols), dtype=np.int64)
-        if not self.payload_symbols:
-            return out
-        for p in range(self.M - 1, -1, -1):
-            row, x = self._rows[p], self._payloads[p].copy()
-            for k in range(p + 1, self.M):
-                if row[k]:
-                    x ^= self.field.scale(row[k], out[k])
+        M, exp, log = self.M, self._exp, self._log
+        out: list[list[int]] = [[]] * M
+        for p in range(M - 1, -1, -1):
+            row = self._rows[p]
+            x = row[M:]
+            for k in range(p + 1, M):
+                c = row[k]
+                if c:
+                    lc = log[c]
+                    x = [s ^ exp[log[b] + lc] if b else s for s, b in zip(x, out[k])]
             out[p] = x
-        return out
+        return np.array(out, dtype=np.int64)

@@ -193,7 +193,7 @@ def test_continuous_optimum_vanishing_wait_limit():
 def test_continuous_optimum_argument_always_in_branch_domain():
     # the exponent -1 + ln(Pe)*T_w/T_p is strictly below -1, so the branch
     # argument -exp(.) lies in (-1/e, 0) mathematically; at float extremes it
-    # can underflow to -0.0, which the evaluation routes around
+    # can underflow to -0.0, which the evaluation never forms
     rng = np.random.default_rng(31)
     for _ in range(50):
         pe = float(rng.uniform(1e-4, 1 - 1e-4))
@@ -203,6 +203,17 @@ def test_continuous_optimum_argument_always_in_branch_domain():
         assert -math.exp(-1.0) <= -math.exp(exponent) <= 0.0
         value = continuous_optimum_N1(_sys(Pe=pe), Timing(1.0, ratio / 2, ratio))
         assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("pe, ratio, optimum", [(0.5, 1500.0, 10), (0.5, 5000.0, 12),
+                                               (0.9, 1e4, 66)])
+def test_continuous_optimum_brackets_minimizer_where_the_branch_argument_underflows(
+        pe, ratio, optimum):
+    # exponents -1 + ln(Pe)*T_w/T_p of -1041, -3467 and -1055: -exp(.) is -0.0
+    assert -math.exp(-1.0 + math.log(pe) * ratio) == 0.0
+    x = continuous_optimum_N1(_sys(Pe=pe), Timing(1.0, ratio / 2, ratio))
+    assert _brute_minimizer_n1(pe, ratio, 200) == optimum
+    assert optimum in (math.floor(x), math.ceil(x))
 
 
 def test_continuous_optimum_rejects_zero_erasure():
@@ -301,6 +312,15 @@ def test_optimize_rejects_empty_ranges():
         optimize_joint(sys, BitChannel(0.0), [sys.n], [])
     with pytest.raises(ValueError):
         optimize_joint(sys, BitChannel(0.0), [], [100])
+
+
+@pytest.mark.parametrize("n_range, M_range", [([1000.9], [2]), ([True], [2]), (["4"], [2]),
+                                              ([2.7], [2]), ([1000], [1000.9]), ([1000], [True]),
+                                              ([1000], ["4"]), ([1000], [2.7])])
+def test_optimize_joint_rejects_non_integer_grid_entries(n_range, M_range):
+    sys = SystemParams(M=2, n=1000, g=8, h=80, n_ack=100, R=1e6, T_rt=0.05)
+    with pytest.raises(TypeError, match="must be an integer"):
+        optimize_joint(sys, BitChannel(1e-5), n_range, M_range)
 
 
 def test_optimize_block_size_growing_when_stops_dominate():

@@ -246,26 +246,31 @@ def test_absorb_rejects_symbols_outside_the_field():
         Decoder(f, 3, 0).absorb(CodedPacket([-1, 0, 0], np.empty(0, dtype=np.int64)))
 
 
-@pytest.mark.parametrize("g", [1, 8, 16])
-def test_reduce_row_matches_absorb(g):
+@pytest.mark.parametrize("g, payload_symbols", [
+    *(pytest.param(g, 0, id=str(g)) for g in (1, 8, 16)),
+    *(pytest.param(g, 3, id=f"{g}-payload") for g in (1, 8, 16)),
+])
+def test_reduce_row_matches_absorb(g, payload_symbols):
     # the unchecked entry the simulator uses builds the same basis as absorb,
-    # row by row, over independent, sparse and repeated rows
+    # row by row, over independent, sparse and repeated rows, with or without
+    # payload symbols after the coefficients
     f = GaloisField(g)
     rng = np.random.default_rng([2012, g])
-    no_payload = np.empty(0, dtype=np.int64)
     checked = None
     absorbed, reduced = [], []
     for _ in range(500):
         if checked is None or checked.rank == checked.M:
             M = int(rng.integers(1, 9))
-            checked, lean, seen = Decoder(f, M, 0), Decoder(f, M, 0), []
+            checked = Decoder(f, M, payload_symbols)
+            lean, seen = Decoder(f, M, payload_symbols), []
         if seen and rng.random() < 0.2:
             row = seen[rng.integers(0, len(seen))]
         else:
             row = random_coefficients(f, M, rng) * (rng.random(M) < 0.6)
         seen.append(row)
-        absorbed.append(checked.absorb(CodedPacket(row, no_payload)))
-        reduced.append(lean.reduce_row(row.tolist()))
+        payload = rng.integers(0, f.q, size=payload_symbols, dtype=np.int64)
+        absorbed.append(checked.absorb(CodedPacket(row, payload)))
+        reduced.append(lean.reduce_row(row.tolist() + payload.tolist()))
         assert lean.rank == checked.rank
         assert lean._rows == checked._rows
     assert absorbed == reduced
@@ -290,6 +295,26 @@ def test_encode_zero_vector_gives_zero_payload():
     assert not pkt.payload.any()
 
 
+def test_encode_rejects_bad_shapes_and_symbols_outside_the_field():
+    f = GaloisField(8)
+    block = np.zeros((3, 2), dtype=np.int64)
+    coefficients = np.array([1, 2, 3], dtype=np.int64)
+    with pytest.raises(ValueError, match="block must be"):
+        encode(f, np.zeros(3, dtype=np.int64), coefficients)
+    with pytest.raises(ValueError, match="length must equal"):
+        encode(f, block, coefficients[:2])
+    for bad in (-1, 256, 300):
+        symbols = block.copy()
+        symbols[1, 0] = bad
+        with pytest.raises(ValueError, match=r"block symbols must lie in \[0, q\)"):
+            encode(f, symbols, coefficients)
+        weights = coefficients.copy()
+        weights[2] = bad
+        with pytest.raises(ValueError, match=r"coefficients must lie in \[0, q\)"):
+            encode(f, block, weights)
+    assert not encode(f, block, coefficients).payload.any()
+
+
 def test_coefficient_draws_uniform():
     f = GaloisField(4)
     rng = np.random.default_rng(99)
@@ -303,7 +328,7 @@ def test_absorb_duplicate_is_dependent():
     rng = np.random.default_rng(7)
     block = rng.integers(0, 256, size=(5, 8), dtype=np.int64)
     dec = Decoder(f, 5, 8)
-    pkt = encode(f, block, rng=rng)
+    pkt = encode(f, block, random_coefficients(f, 5, rng))
     assert dec.absorb(pkt) == 1
     assert dec.absorb(pkt) == 0
     assert dec.rank == 1
@@ -328,7 +353,7 @@ def test_rank_monotone_and_bounded():
     dec = Decoder(f, 6, 4)
     last = 0
     for _ in range(60):
-        dec.absorb(encode(f, block, rng=rng))
+        dec.absorb(encode(f, block, random_coefficients(f, 6, rng)))
         assert last <= dec.rank <= 6
         last = dec.rank
     assert dec.rank == 6
@@ -379,7 +404,7 @@ def test_round_trip(M, g):
         block = rng.integers(0, f.q, size=(M, 16), dtype=np.int64)
         dec = Decoder(f, M, 16)
         while dec.rank < M:
-            dec.absorb(encode(f, block, rng=rng))
+            dec.absorb(encode(f, block, random_coefficients(f, M, rng)))
         assert np.array_equal(dec.decode(), block)
 
 
@@ -403,8 +428,8 @@ def test_payload_corruption_breaks_round_trip():
     block = rng.integers(0, 256, size=(4, 6), dtype=np.int64)
     dec = Decoder(f, 4, 6)
     while dec.rank < 4:
-        dec.absorb(encode(f, block, rng=rng))
-    dec._payloads[2][3] ^= 0x55  # payload symbol 3 of the row held at pivot 2
+        dec.absorb(encode(f, block, random_coefficients(f, 4, rng)))
+    dec._rows[2][4 + 3] ^= 0x55  # payload symbol 3 of the row held at pivot 2, after its M = 4
     assert not np.array_equal(dec.decode(), block)
 
 
