@@ -31,7 +31,7 @@ from .params import (
     packet_erasure,
     with_bit_channel,
 )
-from .rlnc import CodedPacket, Decoder, GaloisField, encode, random_coefficients
+from .rlnc import Decoder, GaloisField, encode
 from .simulator import SimConfig, SimResult, run_records, simulate, summarize
 
 __version__ = "0.1.0"

@@ -70,8 +70,6 @@ class NonFiniteError(Exception):
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        raise TypeError("boolean metric values are not expected")
     if isinstance(v, int):
         return str(v)
     return format(float(v), ".8e")

@@ -64,11 +64,9 @@ def _log_comb(n: int, k: int) -> float:
 
 
 def _binom_pmf(k: int, n: int, p: float) -> float:
-    """P[Binomial(n, p) = k], combined in log domain so large n stays finite."""
+    """P[Binomial(n, p) = k] for 0 < p <= 1, combined in log domain so large n stays finite."""
     if k < 0 or k > n:
         return 0.0
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
     if p == 1.0:
         return 1.0 if k == n else 0.0
     return math.exp(_log_comb(n, k) + k * math.log(p) + (n - k) * math.log1p(-p))
@@ -83,8 +81,6 @@ def _binom_tail(k: int, n: int, p: float) -> float:
     terms bit for bit.  For k <= n*p the tail is at least 1/2, so it is
     1 - P[X < k], with that lower sum taken the same way from k - 1 down.
     """
-    if k <= 0:
-        return 1.0
     if k > n * p:
         return _shrinking_sum(range(k, n + 1), n, p)
     return 1.0 - _shrinking_sum(range(k - 1, -1, -1), n, p)
@@ -157,8 +153,8 @@ def state_completion_time(
     The terms are `_binom_pmf`'s, inlined with the logs of the success and
     failure probabilities and lgamma(N_i + 1) taken once per call; the
     operands keep `_binom_pmf`'s order, so every value is bit-identical to
-    it.  A probability of 0 or 1 (or outside [0, 1]) goes through
-    `_binom_pmf` itself: there a log is infinite or undefined.
+    it.  A success probability of 1 (Pe = 0) goes through `_binom_pmf`
+    itself: there the log of the failure probability is infinite.
     """
     stay = Pe**N_i
     progress = 1.0 - stay

@@ -121,18 +121,34 @@ class GaloisField:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
+    def _symbols(self, values, name: str = "symbols") -> np.ndarray:
+        """`values` as an int64 array of field elements, never coerced.
+
+        A float or bool array raises TypeError instead of being truncated; an
+        element outside [0, q) raises ValueError.
+        """
+        values = np.asarray(values)
+        if values.dtype.kind not in "iu":
+            raise TypeError(f"{name} must be integers, not {values.dtype}")
+        if ((values < 0) | (values >= self.q)).any():
+            raise ValueError(f"{name} must lie in [0, q)")
+        return values.astype(np.int64, copy=False)
+
     def mul(self, a: int, b: int) -> int:
+        a, b = self._symbols(a), self._symbols(b)
         if a == 0 or b == 0:
             return 0
         return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
+        a = self._symbols(a)
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
 
     def scale(self, a: int, row: np.ndarray) -> np.ndarray:
         """Elementwise a * row over the field."""
+        a, row = self._symbols(a), self._symbols(row, "row symbols")
         if a == 0:
             return np.zeros_like(row)
         # log[0] is 0, so zero entries map to a here and are cleared after
@@ -141,37 +157,23 @@ class GaloisField:
         return out
 
 
-class CodedPacket:
-    """One coded packet: the M-long encoding vector and the coded payload symbols."""
+def encode(field: GaloisField, block: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """One coded packet: the M coefficients, then the block's rows combined under them.
 
-    __slots__ = ("coefficients", "payload")
-
-    def __init__(self, coefficients: np.ndarray, payload: np.ndarray):
-        self.coefficients = np.asarray(coefficients, dtype=np.int64)
-        self.payload = np.asarray(payload, dtype=np.int64)
-
-
-def random_coefficients(field: GaloisField, M: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw M coefficients uniformly over the whole field; all-zero vectors are allowed."""
-    return rng.integers(0, field.q, size=M, dtype=np.int64)
-
-
-def encode(field: GaloisField, block: np.ndarray, coefficients: np.ndarray) -> CodedPacket:
-    """Linear combination of the block's M payload rows under the given coefficients."""
-    block = np.asarray(block, dtype=np.int64)
+    This int64 row of length M + symbols is the codec's only packet format;
+    `Decoder.absorb` takes it as is and holds it as an augmented row.
+    """
+    block = field._symbols(block, "block symbols")
     if block.ndim != 2:
         raise ValueError("block must be an (M, symbols) array")
-    coefficients = np.asarray(coefficients, dtype=np.int64)
+    coefficients = field._symbols(coefficients, "coefficients")
     if coefficients.shape != (block.shape[0],):
         raise ValueError("coefficient vector length must equal the block size")
-    for name, values in (("block symbols", block), ("coefficients", coefficients)):
-        if ((values < 0) | (values >= field.q)).any():
-            raise ValueError(f"{name} must lie in [0, q)")
     payload = np.zeros(block.shape[1], dtype=np.int64)
-    for c, row in zip(coefficients, block):
+    for c, row in zip(coefficients.tolist(), block):
         if c:
-            payload ^= field.scale(int(c), row)
-    return CodedPacket(coefficients, payload)
+            payload ^= field.scale(c, row)
+    return np.concatenate((coefficients, payload))
 
 
 class Decoder:
@@ -183,7 +185,7 @@ class Decoder:
     the one elimination routine, reduces a new row against the held pivots
     only, with scalar log/antilog lookups over all of its columns, and never
     touches an older row again, so the rank is known after every packet.
-    `absorb` checks a packet's shape and symbol range, then calls it; the
+    `absorb` checks a packet's length and symbols, then calls it; the
     simulator, which draws its M-long rows in [0, q) itself and carries no
     payload, calls it directly.
     `decode` back-substitutes once, from the last pivot up.
@@ -208,20 +210,12 @@ class Decoder:
     def rank(self) -> int:
         return self._rank
 
-    def absorb(self, packet: CodedPacket) -> int:
-        """Fold one packet into the basis; returns 1 if it carried a new dof, else 0."""
-        q = self.field.q
-        if packet.coefficients.shape != (self.M,):
-            raise ValueError("packet block size mismatch")
-        if packet.payload.shape != (self.payload_symbols,):
-            raise ValueError("packet payload length mismatch")
-        v = packet.coefficients.tolist()
-        if min(v) < 0 or max(v) >= q:
-            raise ValueError("packet coefficients must lie in [0, q)")
-        payload = packet.payload.tolist()
-        if payload and (min(payload) < 0 or max(payload) >= q):
-            raise ValueError("packet payload symbols must lie in [0, q)")
-        return self.reduce_row(v + payload)
+    def absorb(self, row: np.ndarray) -> int:
+        """Fold one packet, as `encode` returns it, into the basis; 1 if it raised the rank."""
+        row = self.field._symbols(row, "packet symbols")
+        if row.shape != (self.M + self.payload_symbols,):
+            raise ValueError("packet length must be M + payload_symbols")
+        return self.reduce_row(row.tolist())
 
     def reduce_row(self, v: list[int]) -> int:
         """Fold a row into the basis; returns 1 if it raised the rank, else 0.

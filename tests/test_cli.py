@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -55,7 +56,7 @@ def test_sweep_pe_is_byte_deterministic_across_threads(tmp_path):
     assert main(["--config", cfg, "--out", paths[0]]) == 0
     assert main(["--config", cfg, "--out", paths[1]]) == 0
     assert main(["--config", cfg, "--out", paths[2], "--threads", "8"]) == 0
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [Path(p).read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
     rows = _read_rows(paths[0])
     # declared grid order, schemes nested inside each grid point
@@ -212,8 +213,10 @@ def test_seed_flag_overrides_config(tmp_path):
     main(["--config", cfg, "--out", a])
     main(["--config", cfg, "--out", b, "--seed", "99"])
     main(["--config", cfg, "--out", c, "--seed", "7"])
-    assert open(a).read() == open(c).read()
-    assert open(a).read() != open(b).read()
+    assert Path(a).read_text() == Path(c).read_text()
+    assert Path(a).read_text() != Path(b).read_text()
+    assert main(["--config", cfg, "--out", str(tmp_path / "d.csv"), "--seed", "-1"]) == 2
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_reused_parser_carries_no_flag_between_calls(tmp_path, capsys):
@@ -251,7 +254,7 @@ def test_seed_flag_on_specs_without_a_seed(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["--config", cfg, "--out", a]) == 0
     assert main(["--config", cfg, "--out", b, "--seed", "5"]) == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
     assert main(["--config", _write(tmp_path, [spec], "list.json"), "--seed", "5"]) == 2
 
 
@@ -267,8 +270,8 @@ def test_json_format_is_deterministic(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     main(["--config", cfg, "--out", a, "--format", "json"])
     main(["--config", cfg, "--out", b, "--format", "json", "--threads", "4"])
-    assert open(a, "rb").read() == open(b, "rb").read()
-    doc = json.load(open(a))
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    doc = json.loads(Path(a).read_text())
     assert doc["schema_version"] == 1 and doc["command"] == "compare"
     assert {r["scheme"] for r in doc["rows"]} == {"nc-optimal", "full-duplex"}
 
@@ -308,6 +311,8 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
          "pe_grid": [0.1], "schemes": ["warp:3"]},
         {"schema_version": 1, "command": "compare", "params": SATELLITE_PARAMS,
          "schemes": ["sr:10"], "metric": "completion"},
+        {"schema_version": 1, "command": "compare", "params": SATELLITE_PARAMS,
+         "schemes": ["nc-optimal"], "metric": "bogus"},
         {"schema_version": 1, "command": "simulate", "params": SATELLITE_PARAMS,
          "policy": {"type": "explicit", "N": [1]}},
         {"schema_version": 1, "command": "simulate", "params": SATELLITE_PARAMS,
@@ -352,6 +357,7 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
         {"command": "sweep-m", **eta_sweep, "m_grid": [2.0]},
         {"command": "sweep-m", **eta_sweep, "m_grid": [0]},
         {"command": "sweep-n", **eta_sweep, "n_grid": [-5]},
+        {"command": "sweep-n", **eta_sweep, "n_grid": [1000], "schemes": ["fixed-window:2"]},
         {"command": "sweep-joint", **eta_sweep, "n_grid": [1000], "m_grid": [False]},
         {**pe_sweep, "pe_grid": ["0.5"]},
         {**pe_sweep, "pe_grid": [False]},
@@ -409,19 +415,22 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
 def test_numeric_overflow_exits_3(tmp_path, capsys):
     # absurdly slow link: burst durations overflow doubles and the completion
     # time is no longer representable
-    spec = {
-        "schema_version": 1,
-        "command": "compare",
-        "params": {"M": 10, "n": 10000, "g": 100, "h": 80, "n_ack": 100,
-                   "R": 1e-304, "T_rt": 0.25, "Pe": 0.9, "Pe_ack": 0.0},
-        "schemes": ["nc-optimal"],
-        "metric": "completion",
-    }
-    out = tmp_path / "no.csv"
-    code = main(["--config", _write(tmp_path, spec, "overflow.json"), "--out", str(out)])
-    assert code == 3
-    assert not out.exists()
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "non-finite"
+    slow = {"n": 10000, "g": 100, "h": 80, "n_ack": 100, "R": 1e-304, "T_rt": 0.25,
+            "Pe": 0.9, "Pe_ack": 0.0}
+    overflows = [
+        ({"command": "compare", "params": {**slow, "M": 10}, "schemes": ["nc-optimal"],
+          "metric": "completion"}, None),
+        ({"command": "policy", "params": {**slow, "M": 2}},
+         "nc-optimal/T_i_seconds is not finite"),
+    ]
+    for k, (spec, message) in enumerate(overflows):
+        out = tmp_path / f"no{k}.csv"
+        cfg = _write(tmp_path, {"schema_version": 1, **spec}, f"overflow{k}.json")
+        assert main(["--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "non-finite"
+        assert message in (None, err["message"])
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from tddnc.markov import Policy, expected_completion, expected_extra_receptions
+from tddnc.optimizer import continuous_optimum_N1
 from tddnc.params import (
     BitChannel,
     SystemParams,
@@ -12,6 +14,8 @@ from tddnc.params import (
     packet_erasure,
     with_bit_channel,
 )
+from tddnc.rlnc import Decoder, GaloisField
+from tddnc.simulator import SimConfig, run_records, summarize
 
 SATELLITE = dict(M=10, n=10000, g=100, h=80, n_ack=100, R=1.5e6, T_rt=0.25)
 
@@ -152,3 +156,32 @@ def test_packet_erasure_rejects_non_integer_bits(bits):
 def test_packet_bits():
     assert SystemParams(**SATELLITE).packet_bits == 11080
     assert SystemParams(M=1, n=1, g=1, h=0, n_ack=1, R=1.0).q == 2
+
+
+_M3 = SystemParams(**{**SATELLITE, "M": 3, "Pe": 0.3})
+_M2 = SystemParams(**{**SATELLITE, "M": 2, "Pe": 0.3})
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Policy(()), "at least one state", id="policy-empty"),
+    pytest.param(lambda: Policy((0,)), "every burst size", id="policy-zero"),
+    pytest.param(lambda: expected_completion(Policy((1, 2)), _M3, derive_timing(_M3)),
+                 "policy length", id="expected_completion"),
+    pytest.param(lambda: run_records(Policy((1, 2)), _M3, derive_timing(_M3), SimConfig(runs=1)),
+                 "policy length", id="run_records"),
+    pytest.param(lambda: summarize(np.zeros((3, 2)), derive_timing(_M3)), r"\(runs, 3\)",
+                 id="summarize"),
+    pytest.param(lambda: Decoder(GaloisField(8), 0, 0), "block size", id="decoder-M"),
+    pytest.param(lambda: Decoder(GaloisField(8), 3, -1), "payload length", id="decoder-payload"),
+    pytest.param(lambda: continuous_optimum_N1(_M2, derive_timing(_M2)), "M = 1",
+                 id="closed-form-M"),
+    pytest.param(lambda: SystemParams(**{**SATELLITE, "n": 0}), "n must be", id="n"),
+    pytest.param(lambda: SystemParams(**{**SATELLITE, "g": 0}), "g must be", id="g"),
+    pytest.param(lambda: SystemParams(**{**SATELLITE, "h": -1}), "h must be", id="h"),
+    pytest.param(lambda: packet_erasure(1e-3, 0), "bits must be", id="packet_erasure"),
+    pytest.param(lambda: expected_extra_receptions(0, 2), "M must be", id="extra-receptions-M"),
+    pytest.param(lambda: expected_extra_receptions(3, 1), "field size", id="extra-receptions-q"),
+])
+def test_library_rejects_out_of_range_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
-from scipy.stats import chisquare
-
 from tddnc.markov import expected_extra_receptions
-from tddnc.rlnc import (
-    DEFAULT_POLYNOMIALS,
-    CodedPacket,
-    Decoder,
-    GaloisField,
-    encode,
-    random_coefficients,
-)
+from tddnc.rlnc import DEFAULT_POLYNOMIALS, Decoder, GaloisField, encode
 
 
 def test_field_identity_and_inverse_exhaustive_byte_field():
@@ -145,7 +136,6 @@ def test_rank_only_decoder_rejects_dependent_rows(g):
     # zero, repeated and combined rows never raise the rank of a payload-free decoder
     f = GaloisField(g)
     rng = np.random.default_rng([2010, g])
-    no_payload = np.empty(0, dtype=np.int64)
     for M in range(1, 9):
         for _ in range(20):
             dec, seen, gained = Decoder(f, M, 0), [], 0
@@ -160,9 +150,9 @@ def test_rank_only_decoder_rejects_dependent_rows(g):
                     x, y = (seen[i] for i in rng.choice(len(seen), 2, replace=False))
                     row, dependent = f.scale(a, x) ^ f.scale(b, y), True
                 else:
-                    row, dependent = random_coefficients(f, M, rng), False
+                    row, dependent = rng.integers(0, f.q, size=M, dtype=np.int64), False
                 seen.append(row)
-                delta = dec.absorb(CodedPacket(row, no_payload))
+                delta = dec.absorb(row)
                 if dependent:
                     assert delta == 0
                 gained += delta
@@ -214,7 +204,7 @@ def test_decoder_matches_reference_elimination(g):
                                     ^ _clmul_mod(b, int(w), g, f.polynomial)
                                     for u, w in zip(x, y)], dtype=np.int64)
                 else:
-                    row = random_coefficients(f, M, rng)
+                    row = rng.integers(0, f.q, size=M, dtype=np.int64)
                 before = dec.rank
                 seen.append(row)
                 delta = dec.absorb(encode(f, block, row))
@@ -224,7 +214,7 @@ def test_decoder_matches_reference_elimination(g):
                 for p, r in held:
                     assert r[p] == 1 and not any(r[:p])
             while _reference_rank(seen, g, f.polynomial) < M:
-                seen.append(random_coefficients(f, M, rng))
+                seen.append(rng.integers(0, f.q, size=M, dtype=np.int64))
             for order in (range(len(seen)), rng.permutation(len(seen))):
                 dec = Decoder(f, M, 5)
                 for k in order:
@@ -236,14 +226,32 @@ def test_decoder_matches_reference_elimination(g):
 def test_absorb_rejects_symbols_outside_the_field():
     f = GaloisField(8)
     dec = Decoder(f, 3, 2)
-    ok = np.array([0, 0], dtype=np.int64)
-    for coefficients, payload in (([-1, 0, 0], ok), ([0, 256, 0], ok),
-                                  ([1, 0, 0], [0, -1]), ([1, 0, 0], [256, 0])):
+    for row in ([-1, 0, 0, 0, 0], [0, 256, 0, 0, 0], [1, 0, 0, 0, -1], [1, 0, 0, 256, 0]):
         with pytest.raises(ValueError, match=r"\[0, q\)"):
-            dec.absorb(CodedPacket(coefficients, payload))
+            dec.absorb(np.array(row))
+    for row in ([1, 0, 0, 0], [1, 0, 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="packet length"):
+            dec.absorb(np.array(row))
+    for row in ([2.9, True, 7.5, 0], [True, False, True, False], np.ones(5)):
+        with pytest.raises(TypeError, match="must be integers"):
+            Decoder(f, 2, 2).absorb(np.array(row))
     assert dec.rank == 0
     with pytest.raises(ValueError, match=r"\[0, q\)"):
-        Decoder(f, 3, 0).absorb(CodedPacket([-1, 0, 0], np.empty(0, dtype=np.int64)))
+        Decoder(f, 3, 0).absorb(np.array([-1, 0, 0]))
+    assert Decoder(f, 3, 0).absorb(np.array([0, 5, 0], dtype=np.uint8)) == 1
+
+
+def test_field_operations_reject_symbols_outside_the_field():
+    f = GaloisField(8)
+    for call in (lambda: f.mul(-1, 3), lambda: f.mul(300, 1), lambda: f.mul(3, 256),
+                 lambda: f.inv(-1), lambda: f.scale(3, [-1, 2]), lambda: f.scale(-3, [1, 2])):
+        with pytest.raises(ValueError, match=r"\[0, q\)"):
+            call()
+    for call in (lambda: f.mul(1.5, 3), lambda: f.mul(True, 3), lambda: f.inv(2.0),
+                 lambda: f.scale(3, [1.0, 2.0]), lambda: f.scale(3, np.array([True]))):
+        with pytest.raises(TypeError, match="must be integers"):
+            call()
+    assert f.scale(3, [0, 2]).tolist() == [0, f.mul(3, 2)]
 
 
 @pytest.mark.parametrize("g, payload_symbols", [
@@ -266,10 +274,10 @@ def test_reduce_row_matches_absorb(g, payload_symbols):
         if seen and rng.random() < 0.2:
             row = seen[rng.integers(0, len(seen))]
         else:
-            row = random_coefficients(f, M, rng) * (rng.random(M) < 0.6)
+            row = rng.integers(0, f.q, size=M, dtype=np.int64) * (rng.random(M) < 0.6)
         seen.append(row)
         payload = rng.integers(0, f.q, size=payload_symbols, dtype=np.int64)
-        absorbed.append(checked.absorb(CodedPacket(row, payload)))
+        absorbed.append(checked.absorb(np.concatenate((row, payload))))
         reduced.append(lean.reduce_row(row.tolist() + payload.tolist()))
         assert lean.rank == checked.rank
         assert lean._rows == checked._rows
@@ -285,14 +293,15 @@ def test_encode_unit_vector_projects():
         coeffs = np.zeros(6, dtype=np.int64)
         coeffs[k] = 1
         pkt = encode(f, block, coeffs)
-        assert np.array_equal(pkt.payload, block[k])
+        assert pkt.dtype == np.int64
+        assert np.array_equal(pkt, np.concatenate((coeffs, block[k])))
 
 
 def test_encode_zero_vector_gives_zero_payload():
     f = GaloisField(8)
     block = np.arange(40, dtype=np.int64).reshape(4, 10) % 256
     pkt = encode(f, block, np.zeros(4, dtype=np.int64))
-    assert not pkt.payload.any()
+    assert pkt.shape == (14,) and not pkt.any()
 
 
 def test_encode_rejects_bad_shapes_and_symbols_outside_the_field():
@@ -312,15 +321,11 @@ def test_encode_rejects_bad_shapes_and_symbols_outside_the_field():
         weights[2] = bad
         with pytest.raises(ValueError, match=r"coefficients must lie in \[0, q\)"):
             encode(f, block, weights)
-    assert not encode(f, block, coefficients).payload.any()
-
-
-def test_coefficient_draws_uniform():
-    f = GaloisField(4)
-    rng = np.random.default_rng(99)
-    draws = np.concatenate([random_coefficients(f, 10, rng) for _ in range(10_000)])
-    counts = np.bincount(draws, minlength=16)
-    assert chisquare(counts).pvalue > 0.01
+    for rows, weights in ((block.astype(float), coefficients), (block, [1.5, 0.0, 2.0]),
+                          (block, coefficients > 1), ([[1.9, 2.2], [3.0, 4.7]], [1.5, 0.0])):
+        with pytest.raises(TypeError, match="must be integers"):
+            encode(f, rows, weights)
+    assert encode(f, block, coefficients).tolist() == [1, 2, 3, 0, 0]
 
 
 def test_absorb_duplicate_is_dependent():
@@ -328,7 +333,7 @@ def test_absorb_duplicate_is_dependent():
     rng = np.random.default_rng(7)
     block = rng.integers(0, 256, size=(5, 8), dtype=np.int64)
     dec = Decoder(f, 5, 8)
-    pkt = encode(f, block, random_coefficients(f, 5, rng))
+    pkt = encode(f, block, rng.integers(0, 256, size=5, dtype=np.int64))
     assert dec.absorb(pkt) == 1
     assert dec.absorb(pkt) == 0
     assert dec.rank == 1
@@ -353,7 +358,7 @@ def test_rank_monotone_and_bounded():
     dec = Decoder(f, 6, 4)
     last = 0
     for _ in range(60):
-        dec.absorb(encode(f, block, random_coefficients(f, 6, rng)))
+        dec.absorb(encode(f, block, rng.integers(0, 2, size=6, dtype=np.int64)))
         assert last <= dec.rank <= 6
         last = dec.rank
     assert dec.rank == 6
@@ -370,7 +375,7 @@ def test_receptions_until_full_rank_match_expectation():
             dec = Decoder(f, M, 0)
             got = 0
             while dec.rank < M:
-                dec.absorb(CodedPacket(random_coefficients(f, M, rng), np.empty(0, dtype=np.int64)))
+                dec.absorb(rng.integers(0, f.q, size=M, dtype=np.int64))
                 got += 1
             counts[r] = got
         mean = counts.mean()
@@ -387,9 +392,7 @@ def test_dependent_arrivals_rare_in_byte_field():
         rng = np.random.default_rng([777, r])
         dec = Decoder(f, M, 0)
         while dec.rank < M:
-            delta = dec.absorb(
-                CodedPacket(random_coefficients(f, M, rng), np.empty(0, dtype=np.int64))
-            )
+            delta = dec.absorb(rng.integers(0, f.q, size=M, dtype=np.int64))
             dependent += 1 - delta
             total += 1
     assert dependent / total < 0.01
@@ -404,7 +407,7 @@ def test_round_trip(M, g):
         block = rng.integers(0, f.q, size=(M, 16), dtype=np.int64)
         dec = Decoder(f, M, 16)
         while dec.rank < M:
-            dec.absorb(encode(f, block, random_coefficients(f, M, rng)))
+            dec.absorb(encode(f, block, rng.integers(0, f.q, size=M, dtype=np.int64)))
         assert np.array_equal(dec.decode(), block)
 
 
@@ -417,7 +420,7 @@ def test_single_packet_block_decodes_by_inverse():
     dec.absorb(pkt)
     decoded = dec.decode()
     assert np.array_equal(decoded, block)
-    manual = np.array([f.mul(f.inv(29), int(v)) for v in pkt.payload])
+    manual = np.array([f.mul(f.inv(29), int(v)) for v in pkt[1:]])
     assert np.array_equal(decoded[0], manual)
 
 
@@ -428,7 +431,7 @@ def test_payload_corruption_breaks_round_trip():
     block = rng.integers(0, 256, size=(4, 6), dtype=np.int64)
     dec = Decoder(f, 4, 6)
     while dec.rank < 4:
-        dec.absorb(encode(f, block, random_coefficients(f, 4, rng)))
+        dec.absorb(encode(f, block, rng.integers(0, 256, size=4, dtype=np.int64)))
     dec._rows[2][4 + 3] ^= 0x55  # payload symbol 3 of the row held at pivot 2, after its M = 4
     assert not np.array_equal(dec.decode(), block)
 
