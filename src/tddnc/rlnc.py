@@ -128,6 +128,8 @@ class GaloisField:
         element outside [0, q) raises ValueError.
         """
         values = np.asarray(values)
+        if values.size == 0:  # nothing to truncate; [] infers float64
+            return np.zeros(values.shape, dtype=np.int64)
         if values.dtype.kind not in "iu":
             raise TypeError(f"{name} must be integers, not {values.dtype}")
         if ((values < 0) | (values >= self.q)).any():
@@ -148,7 +150,10 @@ class GaloisField:
 
     def scale(self, a: int, row: np.ndarray) -> np.ndarray:
         """Elementwise a * row over the field."""
-        a, row = self._symbols(a), self._symbols(row, "row symbols")
+        return self._scale(self._symbols(a), self._symbols(row, "row symbols"))
+
+    def _scale(self, a: int, row: np.ndarray) -> np.ndarray:
+        # `scale` without the symbol check, for rows `encode` has checked
         if a == 0:
             return np.zeros_like(row)
         # log[0] is 0, so zero entries map to a here and are cleared after
@@ -172,7 +177,7 @@ def encode(field: GaloisField, block: np.ndarray, coefficients: np.ndarray) -> n
     payload = np.zeros(block.shape[1], dtype=np.int64)
     for c, row in zip(coefficients.tolist(), block):
         if c:
-            payload ^= field.scale(c, row)
+            payload ^= field._scale(c, row)
     return np.concatenate((coefficients, payload))
 
 

@@ -326,6 +326,11 @@ def test_encode_rejects_bad_shapes_and_symbols_outside_the_field():
         with pytest.raises(TypeError, match="must be integers"):
             encode(f, rows, weights)
     assert encode(f, block, coefficients).tolist() == [1, 2, 3, 0, 0]
+    # an empty payload is valid, though numpy infers float64 for []
+    empty = encode(f, [[], [], []], coefficients)
+    assert empty.dtype == np.int64 and empty.tolist() == [1, 2, 3]
+    assert Decoder(f, 3, 0).absorb(empty) == 1
+    assert f.scale(3, []).tolist() == []
 
 
 def test_absorb_duplicate_is_dependent():
@@ -358,7 +363,7 @@ def test_rank_monotone_and_bounded():
     dec = Decoder(f, 6, 4)
     last = 0
     for _ in range(60):
-        dec.absorb(encode(f, block, rng.integers(0, 2, size=6, dtype=np.int64)))
+        dec.absorb(encode(f, block, rng.integers(0, f.q, size=6, dtype=np.int64)))
         assert last <= dec.rank <= 6
         last = dec.rank
     assert dec.rank == 6
