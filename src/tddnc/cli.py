@@ -6,7 +6,7 @@ cell, before any computation starts.  Output is byte-deterministic for a
 given config: fixed column order, fixed float formatting, declared grid
 order.  The columns all rows of one parameter point share (the link, `Pe_bit`,
 the simulation setup) are formatted once; each row adds its own.  Sweep cells
-and simulation runs are computed one after another.  The argument parser is
+are computed one after another, in one thread.  The argument parser is
 built once per process, so repeated in-process `main` calls only parse.
 """
 

@@ -124,11 +124,21 @@ class GaloisField:
     def _symbols(self, values, name: str = "symbols") -> np.ndarray:
         """`values` as an int64 array of field elements, never coerced.
 
-        A float or bool array raises TypeError instead of being truncated; an
-        element outside [0, q) raises ValueError.
+        A float or bool element raises TypeError instead of being truncated,
+        also in a list that mixes it with ints; an integer outside [0, q),
+        however large, raises ValueError.
         """
-        values = np.asarray(values)
-        if values.size == 0:  # nothing to truncate; [] infers float64
+        if not isinstance(values, np.ndarray) or values.dtype == object:
+            # judge a list's or scalar's own elements: numpy folds bools into
+            # ints and keeps integers beyond int64 as objects
+            values = np.asarray(values, dtype=object)
+            for v in values.flat:
+                if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                    raise TypeError(f"{name} must be integers, not {type(v).__name__}")
+                if not 0 <= v < self.q:
+                    raise ValueError(f"{name} must lie in [0, q)")
+            return values.astype(np.int64)
+        if values.size == 0:  # nothing to truncate
             return np.zeros(values.shape, dtype=np.int64)
         if values.dtype.kind not in "iu":
             raise TypeError(f"{name} must be integers, not {values.dtype}")
@@ -190,9 +200,7 @@ class Decoder:
     the one elimination routine, reduces a new row against the held pivots
     only, with scalar log/antilog lookups over all of its columns, and never
     touches an older row again, so the rank is known after every packet.
-    `absorb` checks a packet's length and symbols, then calls it; the
-    simulator, which draws its M-long rows in [0, q) itself and carries no
-    payload, calls it directly.
+    `absorb` checks a packet's length and symbols, then calls it.
     `decode` back-substitutes once, from the last pivot up.
     """
 

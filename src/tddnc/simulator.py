@@ -1,32 +1,37 @@
 """Monte-Carlo execution of the burst/listen protocol under packet and ACK erasures.
 
-All three fidelity modes share one round loop: send a burst sized for the
-transmitter's belief, then wait for an ACK; a heard ACK sets the belief to
-the receiver's deficit.  The modes differ only in the receiver step:
+One round loop advances every run at once.  A round sends each unfinished
+run a burst sized for its transmitter's belief b, then waits for an ACK; a
+heard ACK sets the belief to the receiver's deficit.  A burst's arrivals are
+drawn from Binomial(N_b, 1 - Pe) by inverse CDF (`_arrival_table`).  The
+receiver counts the arrivals credited to it, and its deficit is M less the
+number of rank thresholds that count has reached.  The modes differ only in
+the receiver step:
 
-chain     the burst's arrivals cut the deficit, but only when the ACK is
-          heard: a lost ACK forfeits the round's progress, replicating the
-          analytic chain's self-transition exactly;
-physical  the same arrivals, kept at once; the transmitter retransmits for
+chain     thresholds 1..M, and a burst's arrivals are credited only when its
+          ACK is heard: a lost ACK forfeits the round's progress, replicating
+          the analytic chain's self-transition exactly;
+physical  thresholds 1..M, credited at once; the transmitter retransmits for
           its stale belief until an ACK gets through;
-rlnc      kept at once, but an arrival only counts when its random encoding
-          vector raises the rank of those received, so linear-dependence
-          losses are included.  Only the rank is tracked: the block is
-          decodable exactly when the coefficient rows reach rank M, so the
-          decoder gets coefficient vectors with no payload, and no block is
-          generated or encoded.
+rlnc      credited at once, but an arrival only counts when its random
+          encoding vector raises the rank of those received, so
+          linear-dependence losses are included.  A uniform vector over
+          GF(q)^M raises a deficit-d rank with probability 1 - q^-d, so the
+          arrivals between rank steps are geometric waits, and each run's M
+          thresholds are drawn before the first round (`_rank_thresholds`).
+          Only the rank is modelled: no block, coefficient row or payload is
+          generated, encoded or decoded.
 
-Runs execute one after another.  Run r draws from PCG64 seeded by
-SeedSequence([master_seed, r]): the stream np.random.default_rng([master_seed,
-r]) gives, so a run's result does not depend on the runs before it.  The
-seed states are computed in bulk, a chunk of runs per vectorized pass of
-numpy's SeedSequence mixer, which costs far less than hashing each run's
-entropy through a SeedSequence object.
+Randomness: one generator, np.random.default_rng(master_seed), per call.  The
+rlnc thresholds come first, as one (runs, M) block.  Then each round draws
+one uniform per run for the burst and one for the ACK, finished runs
+included, so run r's round-k uniforms are the same in every mode and chain
+and physical stay coupled run for run.  A run's record depends on
+(master_seed, runs), not on (master_seed, r) alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,20 +39,10 @@ import numpy as np
 
 from .markov import Policy
 from .params import SystemParams, Timing, as_int
-from .rlnc import Decoder, GaloisField
+from .rlnc import GaloisField
 from .rlnc import encode  # noqa: F401  (bench/tracing.py wraps tddnc.simulator.encode)
 
 MODES = ("chain", "physical", "rlnc")
-
-# numpy's SeedSequence: a pool of four uint32 words and its hash constants
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-# runs whose seed states are computed in one pass; bounds the memory they take
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -83,105 +78,58 @@ class SimResult:
     runs: int
 
 
-def _seed_states(master_seed: int, start: int, count: int) -> np.ndarray:
-    """SeedSequence([master_seed, r]).generate_state(4, np.uint64) for the
-    runs r = start .. start + count - 1, one row each, shape (count, 4).
+def _arrival_table(N, Pe: float, most: int) -> np.ndarray:
+    """The law of one burst's arrivals, one row per burst size, shape (len(N), most + 1).
 
-    SeedSequence splits each integer of its entropy into little-endian
-    32-bit words (0 is one word), hashes them into the pool, and hashes 0
-    into the pool words past the end of the entropy.  So r can always enter
-    as two words: a high word of 0 mixes as the padding would.  The hash
-    constants advance the same way for every run, so each step below acts on
-    the column of all runs at once; uint32 arrays wrap as numpy's C code does.
+    Row s holds P(K = k) for k < c and P(K >= c) at k = c, where
+    K ~ Binomial(N[s], 1 - Pe) and c = min(N[s], most): no run can use more
+    than `most` arrivals, so the table stays small for any burst size.
+    Columns past c are 0.
+
+    The log terms are one cumulative sum of log(pmf[k+1] / pmf[k]) from
+    N[s] log(Pe), vectorised over the sizes.  The lumped bucket is
+    1 - P(K < c) while that is at least 1/2.  Below 1/2 the median lies
+    under c, so the terms past c fall by at least (c + 1) / (k + 1) each, and
+    the bucket is summed up to 64 + 10 sqrt(most + 1) terms past `most`,
+    which leave out less than 1e-17 of it.
     """
-    seed_words = []
-    while True:
-        seed_words.append(master_seed & _MASK32)
-        master_seed >>= 32
-        if not master_seed:
-            break
-    runs = np.arange(start, start + count, dtype=np.uint64)
-    entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words]
-    entropy += [(runs & _MASK32).astype(np.uint32), (runs >> 32).astype(np.uint32)]
-    entropy += [np.zeros(count, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
-
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> _XSHIFT)
-
-    pool = [hashmix(w) for w in entropy]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> _XSHIFT)
-
-    state = np.empty((count, 8), dtype=np.uint64)
-    hash_const = _INIT_B
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state[:, i] = value ^ (value >> _XSHIFT)
-    # uint64 word k is uint32 words 2k (low half) and 2k + 1
-    return state[:, 0::2] | state[:, 1::2] << 32
+    N = np.asarray(N, dtype=np.float64)[:, None]
+    c = np.minimum(N, most)
+    table = (np.arange(most + 1) == c).astype(np.float64)   # Pe = 0: K = N[s]
+    if Pe == 0.0:
+        return table
+    width = most + 1 + 64 + math.ceil(10 * math.sqrt(most + 1))
+    k = np.arange(width)
+    log_odds = math.log1p(-Pe) - math.log(Pe)   # finite for every Pe in (0, 1)
+    for lo in range(0, N.shape[0], 16):   # 16 rows at a time bound the temporaries
+        n, cut = N[lo : lo + 16], c[lo : lo + 16]
+        pmf = np.empty((n.shape[0], width))
+        pmf[:, :1] = n * math.log(Pe)
+        with np.errstate(divide="ignore"):   # log(0) = -inf: no terms past n
+            pmf[:, 1:] = np.log(np.maximum(n - k[:-1], 0.0) / k[1:]) + log_odds
+        np.exp(np.cumsum(pmf, axis=1, out=pmf), out=pmf)
+        below = k < cut
+        p_below = pmf.sum(axis=1, where=below)
+        lumped = np.where(p_below <= 0.5, 1.0 - p_below, pmf.sum(axis=1, where=~below))
+        rows = table[lo : lo + 16]
+        np.multiply(pmf[:, : most + 1], below[:, : most + 1], out=rows)
+        rows[np.arange(n.shape[0]), cut[:, 0].astype(np.int64)] = lumped
+    return table
 
 
-@functools.cache
-def _seed_state_type() -> type:
-    """The ISeedSequence whose instances hand PCG64 one run's precomputed state.
+def _rank_thresholds(rng, runs: int, M: int, g: int) -> np.ndarray:
+    """Arrivals each run needs to reach rank 1..M over GF(2^g), shape (runs, M).
 
-    Built on first use: numpy imports numpy.random lazily, and a command
-    that never simulates should not load it.
+    At deficit d a uniform coding vector raises the rank with probability
+    1 - 2^(-g d), so each rank step waits a geometric number of arrivals,
+    1 + floor(ln u / (-d g ln 2)) with u uniform in (0, 1], for d = M..1.
     """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedState(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state   # PCG64 asks for exactly (4, np.uint64)
-
-    return SeedState
-
-
-def _run(policy, Pe, Pe_ack, T_p, T_w, rng, decoder, keep_progress):
-    """One transfer: (completion seconds, packets sent, stops)."""
-    M, N = policy.M, policy.N
-    if decoder is not None:
-        q, reduce_row, rank = decoder.field.q, decoder.reduce_row, decoder.rank
-    deficit = belief = M   # receiver truth; transmitter view from the last heard ACK
-    elapsed = 0.0
-    sent = stops = 0
-    while True:
-        n = N[belief - 1]
-        elapsed += n * T_p + T_w
-        sent += n
-        stops += 1
-        if decoder is None:
-            after = max(deficit - int(rng.binomial(n, 1.0 - Pe)), 0)
-        else:
-            count = np.count_nonzero(rng.random(n) >= Pe)
-            if count:
-                # drawn even at full rank, so every run's draw sequence stays fixed;
-                # the rows lie in [0, q), so they skip absorb's checks
-                for row in rng.integers(0, q, size=(count, M), dtype=np.int64).tolist():
-                    if rank == M:
-                        break
-                    rank += reduce_row(row)
-            after = M - rank
-        if keep_progress:   # physical, rlnc: arrivals count before the ACK is heard
-            deficit = after
-        if rng.random() >= Pe_ack:
-            deficit = belief = after
-            if after == 0:
-                return elapsed, sent, stops
+    waits = rng.random((runs, M))   # in place: at 10^4 runs and M = 500 a copy is 40 MB
+    np.log(np.subtract(1.0, waits, out=waits), out=waits)
+    waits /= -g * math.log(2.0) * np.arange(M, 0, -1)
+    np.floor(waits, out=waits)
+    waits += 1.0
+    return np.cumsum(waits, axis=1, out=waits).astype(np.int64)
 
 
 def run_records(
@@ -193,16 +141,56 @@ def run_records(
     """Per-run records, shape (runs, 3): completion seconds, packets sent, stops."""
     if policy.M != sys.M:
         raise ValueError("policy length must equal the block size M")
-    Pe, Pa, T_p, T_w = sys.Pe, sys.Pe_ack, timing.T_p, timing.T_w
-    keep = cfg.mode != "chain"
-    seed_state = _seed_state_type()
-    records = np.empty((cfg.runs, 3), dtype=np.float64)
-    for start in range(0, cfg.runs, _CHUNK):
-        states = _seed_states(cfg.master_seed, start, min(_CHUNK, cfg.runs - start))
-        for r, state in enumerate(states, start):
-            rng = np.random.Generator(np.random.PCG64(seed_state(state)))
-            decoder = Decoder(cfg.field, sys.M, 0) if cfg.mode == "rlnc" else None
-            records[r] = _run(policy, Pe, Pa, T_p, T_w, rng, decoder, keep)
+    M, runs, Pa, T_p, T_w = sys.M, cfg.runs, sys.Pe_ack, timing.T_p, timing.T_w
+    rng = np.random.default_rng(cfg.master_seed)
+    thresholds, most = None, M
+    if cfg.mode == "rlnc":
+        thresholds = _rank_thresholds(rng, runs, M, cfg.field.g)
+        most = int(thresholds[:, -1].max())
+    sizes, size_of = np.unique(np.array(policy.N, dtype=np.int64), return_inverse=True)
+    size_of = np.concatenate(([0], size_of))   # indexed by belief; [0] is never read
+    round_time = sizes * T_p + T_w
+    # cdf[s, k] = P(K <= k) for k < c on a burst of sizes[s]; inf past c, so K
+    # never exceeds c.  Beliefs that send the same size share a row
+    cdf = _arrival_table(sizes, sys.Pe, most)
+    cdf = np.cumsum(cdf, axis=1, out=cdf)[:, :-1]
+    cdf[np.arange(most) >= np.minimum(sizes, most)[:, None]] = np.inf
+    records = np.empty((runs, 3), dtype=np.float64)
+    # the unfinished runs' state, compacted as runs finish
+    run = np.arange(runs)
+    belief = np.full(runs, M, dtype=np.int64)
+    credited = np.zeros(runs, dtype=np.int64)
+    elapsed = np.zeros(runs)
+    sent = np.zeros(runs, dtype=np.int64)
+    stops = 0
+    while run.size:
+        burst, ack = rng.random((2, runs))[:, run]
+        stops += 1
+        size = size_of[belief]
+        elapsed += round_time[size]
+        sent += sizes[size]
+        arrivals = np.empty(run.size, dtype=np.int64)
+        for s in np.flatnonzero(np.bincount(size)).tolist():
+            mine = size == s
+            arrivals[mine] = np.searchsorted(cdf[s], burst[mine], side="right")
+        heard = ack >= Pa
+        if cfg.mode == "chain":   # a burst is credited only when its ACK is heard
+            arrivals[~heard] = 0
+        credited += arrivals
+        if thresholds is None:
+            deficit = np.maximum(M - credited, 0)
+        else:
+            deficit = M - (thresholds <= credited[:, None]).sum(axis=1)
+        belief = np.where(heard, deficit, belief)
+        done = heard & (deficit == 0)
+        if done.any():
+            records[run[done]] = np.column_stack((elapsed[done], sent[done],
+                                                  np.full(done.sum(), stops)))
+            left = ~done
+            run, belief, credited, elapsed, sent = (
+                a[left] for a in (run, belief, credited, elapsed, sent))
+            if thresholds is not None:
+                thresholds = thresholds[left]
     return records
 
 

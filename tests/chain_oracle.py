@@ -63,3 +63,34 @@ def enumerated_transition(i, j, N, Pe, Pe_ack):
         if i == j:
             total += Pe_ack * p
     return total
+
+
+def receiver_completion_time(N, Pe, Pe_ack, T_p, T_w, q=None):
+    """Mean completion time of the `physical` (q=None) or `rlnc` (field size q)
+    receiver, by a dense linear solve on the (deficit d, belief b) states.
+
+    A burst from (d, b) sends N_b packets; each lowers the deficit by one with
+    probability (1 - Pe)(1 - q**-d), stepped packet by packet (q = None: the
+    factor is 1 while d > 0).  A heard ACK moves to (d', d') and ends the run
+    at d' = 0; a lost one moves to (d', b).
+    """
+    M = len(N)
+    states = [(d, b) for b in range(1, M + 1) for d in range(b + 1)]
+    index = {s: i for i, s in enumerate(states)}
+    A = np.eye(len(states))
+    tau = np.empty(len(states))
+    for (d, b), i in index.items():
+        tau[i] = N[b - 1] * T_p + T_w
+        useful = np.array([0.0] + [(1 - Pe) * (1 - (0.0 if q is None else float(q) ** -x))
+                                   for x in range(1, d + 1)])
+        dist = np.zeros(d + 1)
+        dist[d] = 1.0
+        for _ in range(N[b - 1]):
+            moved = dist * useful
+            dist = dist - moved
+            dist[:-1] += moved[1:]
+        for after, pr in enumerate(dist):
+            if after:
+                A[i, index[after, after]] -= (1 - Pe_ack) * pr
+            A[i, index[after, b]] -= Pe_ack * pr
+    return float(np.linalg.solve(A, tau)[index[M, M]])

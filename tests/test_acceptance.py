@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from chain_oracle import absorption_times, joint_search
+from chain_oracle import absorption_times, joint_search, receiver_completion_time
 from tddnc.cli import main as cli_main
 from tddnc.markov import (
     Policy,
@@ -178,6 +178,26 @@ def test_criterion_08_chain_simulation_matches_analysis():
                 if r.stderr > 1e-12 * res.profile.T_M:
                     worst_cells.append(diff / r.stderr)
     _report(8, ok, f"36-cell Monte-Carlo grid at 10^4 runs, worst |z| {max(worst_cells):.2f} (limit 3)")
+
+
+def test_criterion_08_receiver_modes_match_exact_mean():
+    # physical and rlnc against the oracle's exact solve on (deficit, belief) states
+    cells = [("physical", None, 6, 0.5, 0.3, None), ("physical", None, 8, 0.3, 0.1, None)]
+    cells += [("rlnc", g, 6, 0.5, 0.3, (3, 5, 6, 8, 9, 11)) for g in (1, 2, 8)]
+    ok, details = True, []
+    for mode, g, M, pe, pa, N in cells:
+        sys = SystemParams(**{**SATELLITE, "M": M}, Pe=pe, Pe_ack=pa)
+        t = derive_timing(sys)
+        policy = optimal_policy(sys, t).policy if N is None else Policy(N)
+        exact = receiver_completion_time(policy.N, pe, pa, t.T_p, t.T_w,
+                                         q=None if g is None else 2**g)
+        cfg = SimConfig(mode=mode, runs=10_000, master_seed=MASTER_SEED,
+                        field=None if g is None else GaloisField(g))
+        r = simulate(policy, sys, t, cfg)
+        z = (r.mean_completion - exact) / r.stderr
+        ok = ok and abs(z) <= 3
+        details.append(f"{mode}{'' if g is None else f' q={2**g}'} M={M}: z {z:+.2f}")
+    _report(8, ok, "exact receiver means at 10^4 runs (limit |z| 3): " + "; ".join(details))
 
 
 def test_criterion_09_receptions_to_full_rank_match_expectation():

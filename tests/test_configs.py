@@ -18,14 +18,14 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CSV_SHA256 = {
     "arq-compare.json": "609299b3f12e0214efc5ca91c6d07d9b36d75ad441675cda818ba60344a61aae",
     "satellite-sweep.json": "438c0d1e78d4577da9fb2722fbbf3a04e516d1ef54ee36f70376f853ebc112cb",
-    "simulate-chain.json": "2ce8e690421c8262f5e679e5214bbf0f3a947cf45dbeb177213a8b252cc2c4e3",
+    "simulate-chain.json": "b3f14354edfeabec645c5f054cfc248deeb59270b5141e7ecfc04ef1babb73b1",
     "throughput-surface.json": "50df48c7af5b3570a6a00473e0b27599a033149733b2d14e1aca612da2d62087",
 }
 
 JSON_SHA256 = {
     "arq-compare.json": "1237e49006d5ee37d86e0219300892a50c2b796f43f0a8863b15dc2013bd9b59",
     "satellite-sweep.json": "33e91f720b2fbbbf3923fff0dc48c594e0c6b60a53fa48bbe502fdcda91431bf",
-    "simulate-chain.json": "9e472b321c3ca6bb187df2ec398153a2d4e0a00348dce6ecb37f81eaeb91877f",
+    "simulate-chain.json": "af2d337e6ae3d81ec219ea48fbea55018f93fd5b29a8484f042d068c3d8adf30",
     "throughput-surface.json": "729cd6985b5c558e3be64af590f697efacd857dfd45d5adf6f87e1cbb600ed7e",
 }
 

@@ -238,17 +238,25 @@ def test_absorb_rejects_symbols_outside_the_field():
     assert dec.rank == 0
     with pytest.raises(ValueError, match=r"\[0, q\)"):
         Decoder(f, 3, 0).absorb(np.array([-1, 0, 0]))
+    # a list is judged element by element: numpy would read True as 1 and
+    # 2**70 as an object
+    with pytest.raises(TypeError, match="must be integers"):
+        Decoder(f, 3, 0).absorb([True, 0, 0])
+    with pytest.raises(ValueError, match=r"\[0, q\)"):
+        Decoder(f, 3, 0).absorb([2**70, 0, 0])
     assert Decoder(f, 3, 0).absorb(np.array([0, 5, 0], dtype=np.uint8)) == 1
 
 
 def test_field_operations_reject_symbols_outside_the_field():
     f = GaloisField(8)
     for call in (lambda: f.mul(-1, 3), lambda: f.mul(300, 1), lambda: f.mul(3, 256),
-                 lambda: f.inv(-1), lambda: f.scale(3, [-1, 2]), lambda: f.scale(-3, [1, 2])):
+                 lambda: f.inv(-1), lambda: f.scale(3, [-1, 2]), lambda: f.scale(-3, [1, 2]),
+                 lambda: f.mul(2**70, 1), lambda: f.scale(3, [1, 2**64])):
         with pytest.raises(ValueError, match=r"\[0, q\)"):
             call()
     for call in (lambda: f.mul(1.5, 3), lambda: f.mul(True, 3), lambda: f.inv(2.0),
-                 lambda: f.scale(3, [1.0, 2.0]), lambda: f.scale(3, np.array([True]))):
+                 lambda: f.scale(3, [1.0, 2.0]), lambda: f.scale(3, np.array([True])),
+                 lambda: f.scale(3, [True, 2]), lambda: f.mul(3, np.True_)):
         with pytest.raises(TypeError, match="must be integers"):
             call()
     assert f.scale(3, [0, 2]).tolist() == [0, f.mul(3, 2)]
@@ -259,9 +267,9 @@ def test_field_operations_reject_symbols_outside_the_field():
     *(pytest.param(g, 3, id=f"{g}-payload") for g in (1, 8, 16)),
 ])
 def test_reduce_row_matches_absorb(g, payload_symbols):
-    # the unchecked entry the simulator uses builds the same basis as absorb,
-    # row by row, over independent, sparse and repeated rows, with or without
-    # payload symbols after the coefficients
+    # the unchecked entry builds the same basis as absorb, row by row, over
+    # independent, sparse and repeated rows, with or without payload symbols
+    # after the coefficients
     f = GaloisField(g)
     rng = np.random.default_rng([2012, g])
     checked = None

@@ -8,18 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 import tddnc
+from chain_oracle import absorption_times, receiver_completion_time
 from tddnc.markov import Policy, expected_completion, expected_extra_receptions
 from tddnc.optimizer import optimal_policy
 from tddnc.params import SystemParams, Timing, derive_timing
-from tddnc.rlnc import GaloisField
+from tddnc.rlnc import Decoder, GaloisField
 from tddnc.simulator import (
-    _CHUNK,
     SimConfig,
-    _run,
-    _seed_state_type,
-    _seed_states,
+    _arrival_table,
+    _rank_thresholds,
     run_records,
     simulate,
     summarize,
@@ -138,15 +138,14 @@ def test_small_field_needs_more_time_than_byte_field():
     assert results[1][:, 0].mean() > results[8][:, 0].mean()
 
 
-# sha256 of run_records(...).tobytes() per (mode, g).  The rlnc pins were
-# recorded from the simulator that encoded and decoded payloads: rank-only
-# tracking keeps every run's draws and outcome
+# sha256 of run_records(...).tobytes() per (mode, g): the streams of one
+# default_rng(master_seed) per call, with the rlnc rank thresholds drawn first
 RECORD_SHA256 = {
-    ("chain", 8): "609fadf94901c663fc61da9ee713c140222aeb2f907f3d1d6fe04b34e4568a41",
-    ("physical", 8): "5821263f921e9991cd1b8c22a9457cb0782fd851453399e6cfbfb9f78dfdb4d9",
-    ("rlnc", 1): "378482497a6fd51d707c5c4ed13254cf920c737ec8dee6626a85af7225fe5920",
-    ("rlnc", 8): "f0a4a2a8d9b02f2f7b27c71b40b663b275a3d3a14c7cbb6f02ef2c31a3c881b1",
-    ("rlnc", 16): "7990706639bef79ce78b025c69c57e66052e7452274958c71ee41456a9e9fed8",
+    ("chain", 8): "836500cbb86a6d4a9b5096689fe5ee3f352384acc958650f6854fe8e0f6c96ec",
+    ("physical", 8): "b6b8320b2333dc66509788f1cf6b83e1ff7ba883227d5925cfb782a6783ddebc",
+    ("rlnc", 1): "8c367dcd5213fe4bc1113c9d8566fedc7793fe6187cf9d1b07029e0c3dbdeb55",
+    ("rlnc", 8): "f4af1299110e59db056220f9b2b293211710509139b7cf42e9d68824fa54b088",
+    ("rlnc", 16): "f9551f3199e89ea39a0c76ff4ae96270bb9534b03a849f3b643c2a52d1d06f8e",
 }
 
 
@@ -213,38 +212,6 @@ def test_config_keeps_numpy_integers_as_ints():
     assert cfg.master_seed == 2**64 - 1
 
 
-EDGE_WORDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
-
-
-def _seed_sequence_state(seed, run):
-    return np.random.SeedSequence([seed, run]).generate_state(4, np.uint64)
-
-
-@pytest.mark.parametrize("seed", EDGE_WORDS)
-def test_seed_states_equal_seed_sequence_at_word_edges(seed):
-    for run in (0, 1, 2**32 - 1, 2**32, 2**53):
-        assert np.array_equal(_seed_states(seed, run, 1), [_seed_sequence_state(seed, run)])
-    # one chunk across the run index where r grows a second 32-bit word
-    chunk = _seed_states(seed, 2**32 - 3, 6)
-    runs = range(2**32 - 3, 2**32 + 3)
-    assert np.array_equal(chunk, [_seed_sequence_state(seed, r) for r in runs])
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), run=st.integers(0, 2**53))
-def test_seed_states_equal_seed_sequence(seed, run):
-    assert np.array_equal(_seed_states(seed, run, 1)[0], _seed_sequence_state(seed, run))
-
-
-@pytest.mark.parametrize("seed, run", [(0, 0), (20090419, 299), (2**64 - 1, 2**32)])
-def test_seeded_generator_draws_equal_default_rng(seed, run):
-    rng = np.random.Generator(np.random.PCG64(_seed_state_type()(_seed_states(seed, run, 1)[0])))
-    ref = np.random.default_rng([seed, run])
-    assert np.array_equal(rng.random(16), ref.random(16))
-    assert np.array_equal(rng.integers(0, 2**16, size=(3, 5)), ref.integers(0, 2**16, size=(3, 5)))
-    assert np.array_equal(rng.binomial(9, 0.4, size=16), ref.binomial(9, 0.4, size=16))
-
-
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy 2 loads numpy.random lazily; commands that never simulate keep it so
     code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import tddnc.cli; "
@@ -253,18 +220,6 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "True"
-
-
-def test_records_across_chunks_equal_per_run_default_rng():
-    # every run, in every chunk, draws from default_rng([master_seed, r])
-    sys = _sys(M=3, Pe=0.4, Pe_ack=0.1)
-    t = derive_timing(sys)
-    policy = Policy((2, 3, 5))
-    runs = _CHUNK + 3
-    rec = run_records(policy, sys, t, SimConfig(mode="physical", runs=runs, master_seed=2**40 + 1))
-    ref = [_run(policy, sys.Pe, sys.Pe_ack, t.T_p, t.T_w, np.random.default_rng([2**40 + 1, r]),
-                None, True) for r in range(runs)]
-    assert np.array_equal(rec, np.asarray(ref, dtype=np.float64))
 
 
 def test_histogram_counts_runs():
@@ -285,3 +240,91 @@ def test_analytic_profile_matches_simulated_intermediate_starts():
     prof = expected_completion(policy, sys_small, t)
     r = simulate(policy, sys_small, t, SimConfig(mode="chain", runs=6000, master_seed=41))
     assert abs(r.mean_completion - prof.T_M) <= 3 * r.stderr
+
+
+@pytest.mark.parametrize("N, Pe, most", [
+    ((1, 2, 3, 5, 8, 30), 0.5, 8),
+    ((1, 4, 9, 100), 0.1, 8),
+    ((3, 7, 2000), 0.0, 8),                          # all mass at N_b, lumped when N_b > most
+    ((5, 100, 10**6, 2**53), 0.3, 8),                # N_b >> M: P(K >= most) = 1
+    ((10**6, 2**53), 1 - 1e-6, 20),                  # N_b >> M at a tiny success rate
+    ((12, 50), 0.999, 12),
+    (tuple(range(400, 1100, 25)), 0.5, 500),         # lumped bucket near the median
+])
+def test_arrival_table_equals_scipy_binomial(N, Pe, most):
+    # the burst law the simulator samples: pmf below c = min(N_b, most), the
+    # upper tail P(K >= c) lumped at c, zeros past it
+    table = _arrival_table(N, Pe, most)
+    assert table.shape == (len(N), most + 1)
+    for row, n in zip(table, N):
+        c = min(n, most)
+        ref = np.zeros(most + 1)
+        ref[:c] = binom.pmf(np.arange(c), n, 1 - Pe)
+        ref[c] = binom.sf(c - 1, n, 1 - Pe)
+        # subnormal terms carry fewer than 53 bits, so they get an absolute floor
+        np.testing.assert_allclose(row, ref, rtol=1e-12, atol=np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_rank_thresholds_match_decoder_rank(g):
+    # rank after k uniform rows: the geometric-wait sampler against Gaussian
+    # elimination on drawn rows, each rank's frequency within 4.5 pooled
+    # standard errors, over GF(2) and GF(4)
+    M, rows, n_sampler, n_decoder = 4, 9, 40_000, 4000
+    f = GaloisField(g)
+    thresholds = _rank_thresholds(np.random.default_rng([7, g]), n_sampler, M, g)
+    rng = np.random.default_rng([8, g])
+    decoded = np.empty((n_decoder, rows), dtype=np.int64)
+    for i in range(n_decoder):
+        dec = Decoder(f, M, 0)
+        for k in range(rows):
+            dec.reduce_row(rng.integers(0, f.q, size=M).tolist())
+            decoded[i, k] = dec.rank
+    for k in range(1, rows + 1):
+        a = np.bincount((thresholds <= k).sum(axis=1), minlength=M + 1) / n_sampler
+        b = np.bincount(decoded[:, k - 1], minlength=M + 1) / n_decoder
+        pooled = (a * n_sampler + b * n_decoder) / (n_sampler + n_decoder)
+        se = np.sqrt(pooled * (1 - pooled) * (1 / n_sampler + 1 / n_decoder))
+        assert (np.abs(a - b) <= 4.5 * se + 1e-12).all(), (k, a, b)
+
+
+def test_receiver_oracle_reduces_to_the_chain_and_to_physical():
+    # the (deficit, belief) solve is the chain's solve when every ACK is heard,
+    # and rlnc's dependent packets vanish as the field grows
+    N, T_p, T_w = (3, 5, 6, 8, 9, 11), 0.01, 0.1
+    chain = absorption_times(N, 0.5, 0.0, T_p, T_w)[-1]
+    assert receiver_completion_time(N, 0.5, 0.0, T_p, T_w) == pytest.approx(chain, rel=1e-12)
+    physical = receiver_completion_time(N, 0.5, 0.3, T_p, T_w)
+    big = receiver_completion_time(N, 0.5, 0.3, T_p, T_w, q=2**40)
+    assert big == pytest.approx(physical, rel=1e-9)
+    assert receiver_completion_time(N, 0.5, 0.3, T_p, T_w, q=2) > big
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    N=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+    Pe=st.floats(0.0, 0.8),
+    Pe_ack=st.floats(0.0, 0.8),
+    T_p=st.floats(1e-4, 10.0),
+    T_w=st.floats(0.0, 10.0),
+    runs=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+    g=st.sampled_from([1, 2, 8]),
+)
+def test_records_account_for_every_round(N, Pe, Pe_ack, T_p, T_w, runs, seed, g):
+    # a vectorised loop must stop charging a run once it finishes: every record
+    # is a whole number of rounds, and no mode can finish on fewer than M packets
+    M = len(N)
+    sys = SystemParams(M=M, n=1000, g=8, h=80, n_ack=100, R=1e6, T_rt=0.1, Pe=Pe, Pe_ack=Pe_ack)
+    t = Timing(T_p=T_p, T_ack=0.0, T_w=T_w)
+    policy = Policy(tuple(N))
+    for mode in ("chain", "physical", "rlnc"):
+        cfg = SimConfig(mode=mode, runs=runs, master_seed=seed, field=GaloisField(g))
+        rec = run_records(policy, sys, t, cfg)
+        elapsed, sent, stops = rec.T
+        assert (sent >= M).all() and (stops >= 1).all()
+        np.testing.assert_allclose(elapsed, sent * T_p + stops * T_w, rtol=1e-12, atol=0)
+    lossless = SystemParams(**{**sys.__dict__, "Pe_ack": 0.0})
+    chain, physical = (run_records(policy, lossless, t, SimConfig(mode=m, runs=runs, master_seed=seed))
+                       for m in ("chain", "physical"))
+    assert np.array_equal(chain, physical)
