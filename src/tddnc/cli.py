@@ -13,8 +13,10 @@ built once per process, so repeated in-process `main` calls only parse.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys as _sys
 from dataclasses import replace
 from functools import cache, partial
@@ -28,7 +30,7 @@ from .markov import (
 )
 from .optimizer import eta_gbn, eta_sr, optimal_policy
 from .params import BitChannel, SystemParams, derive_timing, with_bit_channel
-from .rlnc import GaloisField
+from .rlnc import GaloisField  # noqa: F401  (bench/tracing.py patches tddnc.cli.GaloisField)
 from .simulator import SimConfig, simulate
 
 SCHEMA_VERSION = 1
@@ -108,7 +110,7 @@ def _row(cell, scheme, metric, value, **columns) -> dict:
 # Every object a spec can hold is read through a table: key -> (kind, default).
 # A key that is absent takes its default; an explicit null is never a default.
 # The tables hold kinds only; value ranges are checked by the dataclasses built
-# from them (SystemParams, BitChannel, Policy, SimConfig, GaloisField, ...).
+# from them (SystemParams, BitChannel, Policy, SimConfig, ...).
 REQUIRED = object()
 INT, NUM, STR, OBJ = "integer", "number", "string", "object"
 SEED = "seed"       # an integer of the 64-bit seed range, which SimConfig checks
@@ -148,9 +150,8 @@ _POLICIES = {
     "explicit": {"type": (STR, REQUIRED), "N": ([INT], REQUIRED)},
 }
 _CHAIN_SIM = {"mode": (STR, "chain"), "runs": (INT, 10000)}
-# field_g defaults to params.g and polynomial to the field's default polynomial
-_SIMS = {"chain": _CHAIN_SIM, "physical": _CHAIN_SIM,
-         "rlnc": {**_CHAIN_SIM, "field_g": (INT, None), "polynomial": (INT, None)}}
+# field_g defaults to params.g; only the field size enters rlnc, so no field is built
+_SIMS = {"chain": _CHAIN_SIM, "physical": _CHAIN_SIM, "rlnc": {**_CHAIN_SIM, "field_g": (INT, None)}}
 
 
 def _value(value, kind, where):
@@ -259,10 +260,9 @@ def _sim_policy(raw, M):
 
 def _sim_config(raw, seed, g) -> SimConfig:
     raw = _read(raw, _SIMS, "sim", tag="mode", default="chain")
-    field = None
-    if raw["mode"] == "rlnc":
-        field = GaloisField(g if raw["field_g"] is None else raw["field_g"], raw["polynomial"])
-    return SimConfig(mode=raw["mode"], runs=raw["runs"], master_seed=seed, field=field)
+    field_g = raw.get("field_g")
+    return SimConfig(mode=raw["mode"], runs=raw["runs"], master_seed=seed,
+                     field_g=g if field_g is None else field_g)
 
 
 def _scheme_row(scheme, sys, timing, metric, cell, fd_time) -> dict:
@@ -358,6 +358,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write `text` to `path`; a failed write removes the regular file it opened."""
+    fh = None
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+        with fh:
+            fh.write(text)
+    except OSError as bad:
+        if fh is not None and os.path.isfile(path):
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise SpecError(f"cannot write output: {bad}") from None
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
@@ -376,19 +390,17 @@ def main(argv=None) -> int:
                 spec["master_seed"] = args.seed
         rows = run_spec(spec)
         text = render_csv(rows) if args.format == "csv" else render_json(spec["command"], rows)
+        # the full output is rendered before anything is opened: no partial files
+        if args.out:
+            _write_out(args.out, text)
+        else:
+            _sys.stdout.write(text)
     except SpecError as err:
         print(json.dumps({"error": "invalid-spec", "message": str(err)}), file=_sys.stderr)
         return EXIT_INVALID
     except NonFiniteError as err:
         print(json.dumps({"error": "non-finite", "message": str(err)}), file=_sys.stderr)
         return EXIT_NONFINITE
-
-    # the full output is rendered before anything is opened: no partial files
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        _sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -39,7 +39,6 @@ import numpy as np
 
 from .markov import Policy
 from .params import SystemParams, Timing, as_int
-from .rlnc import GaloisField
 from .rlnc import encode  # noqa: F401  (bench/tracing.py wraps tddnc.simulator.encode)
 
 MODES = ("chain", "physical", "rlnc")
@@ -47,10 +46,12 @@ MODES = ("chain", "physical", "rlnc")
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Mode, runs and seed; rlnc needs only the width g of its GF(2^g), chain and physical none."""
+
     mode: str = "chain"
     runs: int = 10000
     master_seed: int = 0
-    field: GaloisField | None = None
+    field_g: int | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -61,8 +62,12 @@ class SimConfig:
             raise ValueError("runs must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-        if self.mode == "rlnc" and self.field is None:
-            raise ValueError("rlnc mode requires a field")
+        if self.mode == "rlnc":
+            if self.field_g is None:
+                raise ValueError("rlnc mode requires field_g")
+            object.__setattr__(self, "field_g", as_int(self.field_g, "field_g"))
+            if not 1 <= self.field_g <= 16:
+                raise ValueError("field_g must lie in [1, 16]")
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,7 @@ def run_records(
     rng = np.random.default_rng(cfg.master_seed)
     thresholds, most = None, M
     if cfg.mode == "rlnc":
-        thresholds = _rank_thresholds(rng, runs, M, cfg.field.g)
+        thresholds = _rank_thresholds(rng, runs, M, cfg.field_g)
         most = int(thresholds[:, -1].max())
     sizes, size_of = np.unique(np.array(policy.N, dtype=np.int64), return_inverse=True)
     size_of = np.concatenate(([0], size_of))   # indexed by belief; [0] is never read

@@ -191,8 +191,7 @@ def test_criterion_08_receiver_modes_match_exact_mean():
         policy = optimal_policy(sys, t).policy if N is None else Policy(N)
         exact = receiver_completion_time(policy.N, pe, pa, t.T_p, t.T_w,
                                          q=None if g is None else 2**g)
-        cfg = SimConfig(mode=mode, runs=10_000, master_seed=MASTER_SEED,
-                        field=None if g is None else GaloisField(g))
+        cfg = SimConfig(mode=mode, runs=10_000, master_seed=MASTER_SEED, field_g=g)
         r = simulate(policy, sys, t, cfg)
         z = (r.mean_completion - exact) / r.stderr
         ok = ok and abs(z) <= 3
@@ -207,7 +206,7 @@ def test_criterion_09_receptions_to_full_rank_match_expectation():
     ok = True
     details = []
     for g in (1, 8):
-        cfg = SimConfig(mode="rlnc", runs=10_000, master_seed=MASTER_SEED, field=GaloisField(g))
+        cfg = SimConfig(mode="rlnc", runs=10_000, master_seed=MASTER_SEED, field_g=g)
         packets = run_records(policy, sys, t, cfg)[:, 1]
         mean = packets.mean()
         se = packets.std(ddof=1) / math.sqrt(len(packets))

@@ -62,6 +62,6 @@ def test_tracer_wraps_and_restores_every_traced_name(tracing, tmp_path):
     for name in ("optimizer.optimal_policy", "markov.fixed_window_completion",
                  "simulator.run_records"):
         assert name in names
-    assert tracer.builds[8]
+    assert not tracer.builds   # the rlnc job needs the field width only: no table is built
     assert all(owner.__dict__[name] is original
                for (owner, name), original in zip(TRACED, originals))

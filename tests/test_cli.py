@@ -1,13 +1,18 @@
 import copy
 import csv
+import errno
+import hashlib
+import io
+import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tddnc import cli
+from tddnc import cli, rlnc
 from tddnc.cli import main, render_csv, run_spec
 from tddnc.markov import Policy, expected_completion
 from tddnc.params import SystemParams, derive_timing
@@ -332,14 +337,10 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
     bad_specs += [{"schema_version": 1, "command": "policy",
                    "params": {**SATELLITE_PARAMS, **params}} for params in bad_params]
     bad_sims = [
-        {"mode": "rlnc", "field_g": 8, "polynomial": 256},     # x^8, reducible
-        {"mode": "rlnc", "field_g": 8, "polynomial": 0x11A},   # divisible by x
-        {"mode": "rlnc", "field_g": 8, "polynomial": "0x11b"},
-        {"mode": "rlnc", "field_g": 8, "polynomial": 283.0},
-        {"mode": "rlnc", "field_g": 8, "polynomial": True},
-        {"mode": "rlnc", "field_g": 2, "polynomial": -7},
         {"mode": "rlnc", "field_g": 8.0},
         {"mode": "rlnc", "field_g": True},
+        {"mode": "rlnc", "field_g": 0},
+        {"mode": "rlnc", "field_g": 17},
         {"mode": "chain", "runs": 2.9},
         {"mode": "chain", "runs": "ten"},
         {"mode": "chain", "runs": True},
@@ -410,6 +411,97 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
         assert code == 2, spec
         assert not out.exists()
         assert json.loads(err.strip())["error"] == "invalid-spec"
+
+
+def test_sim_polynomial_is_an_unknown_key(tmp_path, capsys):
+    # only the field size enters rlnc, so no spec picks a reduction polynomial
+    spec = {"schema_version": 1, "command": "simulate", "params": SATELLITE_PARAMS,
+            "sim": {"mode": "rlnc", "runs": 5, "field_g": 8, "polynomial": 0x11B}}
+    out = tmp_path / "no.csv"
+    assert main(["--config", _write(tmp_path, spec), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid-spec" and "polynomial" in err["message"]
+
+
+# sha256 of the CSV of an rlnc simulate spec per field_g (M=6, 300 runs); the
+# seed is one at which the three widths give three different outputs
+RLNC_CSV_SHA256 = {
+    1: "e065638fefe38efa41d6021d1bd91e21bfdb72b98858aba246697b8311754a12",
+    8: "5ab2339971bcaef26d4c3092d0da2113858b6b648c4c8bff76ab54095955d86a",
+    16: "4cbb0f1c624611ad73ae992c8ffec168e2283ec870cc4b82b8d21c2fcef7684b",
+}
+
+
+def test_rlnc_csv_matches_pinned_hashes_without_a_field_table(tmp_path, monkeypatch):
+    def built(self):
+        raise AssertionError("a simulate job built a GF(2^g) table")
+
+    monkeypatch.setattr(rlnc.GaloisField, "_build_tables", built)
+    for field_g, want in RLNC_CSV_SHA256.items():
+        spec = {"schema_version": 1, "command": "simulate",
+                "params": {"M": 6, "n": 1000, "g": 8, "h": 80, "n_ack": 100,
+                           "R": 1e6, "T_rt": 0.1, "Pe": 0.3, "Pe_ack": 0.1},
+                "policy": {"type": "optimal"}, "master_seed": 20091027,
+                "sim": {"mode": "rlnc", "runs": 300, "field_g": field_g}}
+        out = tmp_path / f"g{field_g}.csv"
+        assert main(["--config", _write(tmp_path, spec), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, field_g
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    spec = _write(tmp_path, {"schema_version": 1, "command": "policy", "params": SATELLITE_PARAMS})
+    for out in (tmp_path / "missing" / "out.csv", tmp_path):
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--config", spec, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "invalid-spec"
+        assert err["message"].startswith("cannot write output: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def opened(path, *args, **kwargs):
+        if path != str(out):
+            return open(path, *args, **kwargs)
+        out.write_text("partial")   # the open created the file; the write then fails
+        return Full()
+
+    out = tmp_path / "out.csv"
+    spec = _write(tmp_path, {"schema_version": 1, "command": "policy", "params": SATELLITE_PARAMS})
+    monkeypatch.setattr(cli, "open", opened, raising=False)
+    assert main(["--config", spec, "--out", str(out)]) == 2
+    assert "No space left" in json.loads(capsys.readouterr().err.strip())["message"]
+    assert not out.exists()
+
+
+def _readme_table(heading):
+    """{first-column names: key names} of the README table that follows `heading`."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index(heading) + 4   # blank line, header row, rule row
+    rows, tags = [], None
+    for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start:]):
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        tags = tuple(re.findall(r"`([^`]+)`", cells[0])) or tags
+        rows.append((tags, re.findall(r"`([^`]+)`", cells[1])))
+    return rows
+
+
+def test_readme_spec_tables_name_exactly_the_spec_keys():
+    # the README's params, policy and sim tables against cli's key tables
+    params = [key for keys, row in _readme_table("`params`:") for key in keys]
+    assert sorted(params) == sorted(cli._PARAMS)
+    for heading, tables in (("`policy`, one table per `type`:", cli._POLICIES),
+                            ("`sim`, one table per `mode`:", cli._SIMS)):
+        named = {tag: set() for tag in tables}
+        for tags, keys in _readme_table(heading):
+            for tag in tags:
+                named[tag].update(keys)
+        assert named == {tag: set(table) for tag, table in tables.items()}, heading
 
 
 def test_numeric_overflow_exits_3(tmp_path, capsys):
@@ -504,7 +596,7 @@ _SMALL_SPECS = [
     {"command": "simulate", "params": _LINK, "policy": {"type": "optimal"},
      "sim": {"mode": "chain", "runs": 3}, "master_seed": 1},
     {"command": "simulate", "params": _LINK, "policy": {"type": "fixed-window", "omega": 2},
-     "sim": {"mode": "rlnc", "runs": 3, "field_g": 4, "polynomial": 19}, "master_seed": 2},
+     "sim": {"mode": "rlnc", "runs": 3, "field_g": 4}, "master_seed": 2},
     {"command": "simulate", "params": _LINK, "policy": {"type": "explicit", "N": [1, 3]},
      "sim": {"mode": "physical", "runs": 3}, "master_seed": 3},
 ]

@@ -35,8 +35,8 @@ def test_perfect_channel_is_deterministic_in_every_mode():
     t = derive_timing(sys)
     policy = Policy((1, 2, 3, 4, 5))
     expected = 5 * t.T_p + t.T_w
-    for mode, field in (("chain", None), ("physical", None), ("rlnc", GaloisField(8))):
-        r = simulate(policy, sys, t, SimConfig(mode=mode, runs=4, master_seed=3, field=field))
+    for mode, field_g in (("chain", None), ("physical", None), ("rlnc", 8)):
+        r = simulate(policy, sys, t, SimConfig(mode=mode, runs=4, master_seed=3, field_g=field_g))
         if mode == "rlnc":
             # random coefficients can be dependent, so full rank may need extra rounds
             assert r.mean_completion >= expected
@@ -125,7 +125,7 @@ def test_small_field_needs_more_time_than_byte_field():
     gap_predicted = 2.0 * (expected_extra_receptions(10, 2) - expected_extra_receptions(10, 256))
     results = {}
     for g in (1, 8):
-        cfg = SimConfig(mode="rlnc", runs=2500, master_seed=17, field=GaloisField(g))
+        cfg = SimConfig(mode="rlnc", runs=2500, master_seed=17, field_g=g)
         rec = run_records(policy, sys, t, cfg)
         results[g] = rec
     mean2, mean256 = results[1][:, 1].mean(), results[8][:, 1].mean()
@@ -152,8 +152,8 @@ RECORD_SHA256 = {
 @pytest.mark.parametrize("mode, g", sorted(RECORD_SHA256))
 def test_records_match_pinned_hashes(mode, g):
     sys = SystemParams(M=6, n=1000, g=g, h=80, n_ack=100, R=1e6, T_rt=0.01, Pe=0.3, Pe_ack=0.1)
-    field = GaloisField(g) if mode == "rlnc" else None
-    cfg = SimConfig(mode=mode, runs=300, master_seed=20090419, field=field)
+    field_g = g if mode == "rlnc" else None
+    cfg = SimConfig(mode=mode, runs=300, master_seed=20090419, field_g=field_g)
     rec = run_records(Policy((2, 3, 4, 6, 7, 9)), sys, derive_timing(sys), cfg)
     assert hashlib.sha256(rec.tobytes()).hexdigest() == RECORD_SHA256[mode, g]
 
@@ -166,7 +166,7 @@ def test_erasure_modes_ignore_the_field(mode):
     t = derive_timing(sys)
     policy = Policy((2, 3, 4, 6, 7, 9))
     plain = run_records(policy, sys, t, SimConfig(mode=mode, runs=300, master_seed=7))
-    with_field = SimConfig(mode=mode, runs=300, master_seed=7, field=GaloisField(8))
+    with_field = SimConfig(mode=mode, runs=300, master_seed=7, field_g=8)
     assert np.array_equal(run_records(policy, sys, t, with_field), plain)
 
 
@@ -195,8 +195,15 @@ def test_config_validation():
         SimConfig(runs=0)
     with pytest.raises(ValueError):
         SimConfig(master_seed=-1)
-    with pytest.raises(ValueError):
-        SimConfig(mode="rlnc", field=None)
+    for field_g in (None, 0, 17):
+        with pytest.raises(ValueError):
+            SimConfig(mode="rlnc", field_g=field_g)
+    for field_g in (True, 8.0, "8"):
+        with pytest.raises(TypeError):
+            SimConfig(mode="rlnc", field_g=field_g)
+    # chain reads no field: any field_g, even one rlnc rejects, is ignored
+    assert SimConfig(mode="chain", field_g=8).field_g == 8
+    assert SimConfig(mode="chain", field_g=17).mode == "chain"
 
 
 @pytest.mark.parametrize("field", ["runs", "master_seed"])
@@ -207,9 +214,10 @@ def test_config_rejects_non_integer_counts(field, value):
 
 
 def test_config_keeps_numpy_integers_as_ints():
-    cfg = SimConfig(runs=np.int64(5), master_seed=np.uint64(2**64 - 1))
-    assert type(cfg.runs) is int and type(cfg.master_seed) is int
-    assert cfg.master_seed == 2**64 - 1
+    cfg = SimConfig(mode="rlnc", runs=np.int64(5), master_seed=np.uint64(2**64 - 1),
+                    field_g=np.int8(16))
+    assert type(cfg.runs) is int and type(cfg.master_seed) is int and type(cfg.field_g) is int
+    assert cfg.master_seed == 2**64 - 1 and cfg.field_g == 16
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
@@ -319,7 +327,7 @@ def test_records_account_for_every_round(N, Pe, Pe_ack, T_p, T_w, runs, seed, g)
     t = Timing(T_p=T_p, T_ack=0.0, T_w=T_w)
     policy = Policy(tuple(N))
     for mode in ("chain", "physical", "rlnc"):
-        cfg = SimConfig(mode=mode, runs=runs, master_seed=seed, field=GaloisField(g))
+        cfg = SimConfig(mode=mode, runs=runs, master_seed=seed, field_g=g)
         rec = run_records(policy, sys, t, cfg)
         elapsed, sent, stops = rec.T
         assert (sent >= M).all() and (stops >= 1).all()
