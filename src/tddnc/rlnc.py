@@ -6,9 +6,9 @@ import numpy as np
 
 from .params import as_int
 
-# Default reduction polynomials per coefficient width, written with the
-# leading x**g term (0x11B = x^8+x^4+x^3+x+1).  Fixed here so decoders built
-# independently agree on the field; callers may override.
+# The reduction polynomial of each coefficient width, written with the
+# leading x**g term (0x11B = x^8+x^4+x^3+x+1).  One per width, so decoders
+# built independently agree on the field.
 DEFAULT_POLYNOMIALS = {
     1: 0x3,
     2: 0x7,
@@ -34,22 +34,19 @@ class GaloisField:
 
     Addition is bitwise xor.  Multiplication maps through discrete logs of a
     multiplicative generator; the generator is searched for rather than
-    assumed to be x, so non-primitive reduction polynomials (e.g. 0x11B)
-    work.  Tables are immutable after construction and safe to share.
+    assumed to be x, because 0x11B is not primitive.  Every product is one
+    table read, `exp[log[a] + log[b]]`: zero's log is 2(q-1), past every sum
+    of two nonzero logs, and `exp` is zero from there on.  Tables are
+    immutable after construction and safe to share.
     """
 
-    def __init__(self, g: int, polynomial: int | None = None):
+    def __init__(self, g: int):
         g = as_int(g, "g")
         if not 1 <= g <= 16:
             raise ValueError("coefficient width g must lie in [1, 16]")
-        if polynomial is None:
-            polynomial = DEFAULT_POLYNOMIALS[g]
-        polynomial = as_int(polynomial, "polynomial")
-        if polynomial < 0 or polynomial.bit_length() != g + 1:
-            raise ValueError("reduction polynomial must be positive with degree exactly g")
         self.g = g
         self.q = 1 << g
-        self.polynomial = polynomial
+        self.polynomial = DEFAULT_POLYNOMIALS[g]
         self._build_tables()
 
     def _mul_slow(self, a: int, b: int) -> int:
@@ -97,24 +94,24 @@ class GaloisField:
 
     def _build_tables(self):
         group = self.q - 1
-        exp = np.empty(2 * group, dtype=np.int64)
+        # powers twice over, so sums of two nonzero logs need no modulo, then
+        # zeros for every sum that involves log[0] = 2 * group
+        exp = np.zeros(4 * group + 1, dtype=np.int64)
         log = np.zeros(self.q, dtype=np.int64)
         # the halves of log are the scratch space of the power fills
         scratch, carry = log[: self.q // 2], log[self.q // 2 :]
         # the generator is the first candidate with no 1 among its powers
-        # c**1 .. c**(q-2); then c**(q-1) must be 1, or the ring has zero divisors
+        # c**1 .. c**(q-2); every polynomial of DEFAULT_POLYNOMIALS is
+        # irreducible, so one exists
         candidates = range(2, self.q) if self.q > 2 else (1,)
-        gen = next((c for c in candidates if self._powers(c, exp, scratch, carry)), None)
-        if gen is None or self._mul_slow(int(exp[group - 1]), gen) != 1:
-            raise ValueError("reduction polynomial is not irreducible")
-        self.generator = gen
-        steps = exp[group:]
+        self.generator = next(c for c in candidates if self._powers(c, exp, scratch, carry))
+        steps = exp[group : 2 * group]
         steps[:] = 1
         steps[0] = 0
         np.cumsum(steps, out=steps)  # 0 .. q-2, without a separate arange
-        log[0] = 0  # zero has no log; every other entry is set below
+        log[0] = 2 * group
         log[exp[:group]] = steps
-        exp[group:] = exp[:group]  # doubled so products of logs need no modulo
+        exp[group : 2 * group] = exp[:group]
         self._exp = exp
         self._log = log
 
@@ -147,29 +144,22 @@ class GaloisField:
         return values.astype(np.int64, copy=False)
 
     def mul(self, a: int, b: int) -> int:
-        a, b = self._symbols(a), self._symbols(b)
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+        return int(self._scale(self._symbols(a), self._symbols(b)))
 
     def inv(self, a: int) -> int:
         a = self._symbols(a)
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
+        return int(self._exp[self.q - 1 - self._log[a]])
 
     def scale(self, a: int, row: np.ndarray) -> np.ndarray:
         """Elementwise a * row over the field."""
         return self._scale(self._symbols(a), self._symbols(row, "row symbols"))
 
     def _scale(self, a: int, row: np.ndarray) -> np.ndarray:
-        # `scale` without the symbol check, for rows `encode` has checked
-        if a == 0:
-            return np.zeros_like(row)
-        # log[0] is 0, so zero entries map to a here and are cleared after
-        out = self._exp[self._log[row] + self._log[a]]
-        out[row == 0] = 0
-        return out
+        # `scale` without the symbol check, for symbols already checked; a
+        # new array, zero wherever a or row is
+        return self._exp[self._log[row] + self._log[a]]
 
 
 def encode(field: GaloisField, block: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -195,13 +185,11 @@ class Decoder:
     """Incremental Gaussian elimination over received packets, tracking received dofs.
 
     The basis is kept in echelon form, keyed by pivot column: the row held
-    at pivot p is one list of Python ints, the M coefficients followed by
-    the payload symbols, with zeros left of p and a 1 at p.  `reduce_row`,
-    the one elimination routine, reduces a new row against the held pivots
-    only, with scalar log/antilog lookups over all of its columns, and never
-    touches an older row again, so the rank is known after every packet.
-    `absorb` checks a packet's length and symbols, then calls it.
-    `decode` back-substitutes once, from the last pivot up.
+    at pivot p is an int64 array, the M coefficients followed by the payload
+    symbols, with zeros left of p and a 1 at p.  `absorb`, the one
+    elimination routine, reduces a new row against the held pivots only and
+    never touches an older row again, so the rank is known after every
+    packet.  `decode` back-substitutes once, from the last pivot up.
     """
 
     def __init__(self, field: GaloisField, M: int, payload_symbols: int):
@@ -213,10 +201,7 @@ class Decoder:
         self.field = field
         self.M = M
         self.payload_symbols = payload_symbols
-        # views, not list copies: a copy of the g = 16 tables costs several MB
-        self._exp = memoryview(field._exp)
-        self._log = memoryview(field._log)
-        self._rows: list[list[int] | None] = [None] * M  # coefficients + payload by pivot
+        self._rows: list[np.ndarray | None] = [None] * M  # coefficients + payload by pivot
         self._rank = 0
 
     @property
@@ -224,52 +209,35 @@ class Decoder:
         return self._rank
 
     def absorb(self, row: np.ndarray) -> int:
-        """Fold one packet, as `encode` returns it, into the basis; 1 if it raised the rank."""
-        row = self.field._symbols(row, "packet symbols")
-        if row.shape != (self.M + self.payload_symbols,):
-            raise ValueError("packet length must be M + payload_symbols")
-        return self.reduce_row(row.tolist())
+        """Fold one packet, as `encode` returns it, into the basis; 1 if it raised the rank.
 
-    def reduce_row(self, v: list[int]) -> int:
-        """Fold a row into the basis; returns 1 if it raised the rank, else 0.
-
-        Unchecked: `v` must be a list of Python ints in [0, q), the M
-        coefficients followed by the payload symbols (none on a rank-only
-        decoder), and is overwritten.  `absorb` checks a packet, then calls this.
+        A rank-only decoder (no payload symbols) takes the M coefficients
+        alone.  The packet is copied, never written to.
         """
-        q, width = self.field.q, len(v)
-        exp, log, rows = self._exp, self._log, self._rows
-        for col in range(self.M):
+        field = self.field
+        v = field._symbols(row, "packet symbols")
+        if v.shape != (self.M + self.payload_symbols,):
+            raise ValueError("packet length must be M + payload_symbols")
+        v = v.copy()  # `_symbols` may return the caller's own array
+        for col, held in enumerate(self._rows):
             a = v[col]
             if not a:
                 continue
-            row = rows[col]
-            if row is None:
+            if held is None:
                 # first free pivot: normalize it to 1 and hold the row there
-                inv = q - 1 - log[a]
-                rows[col] = [0] * col + [exp[log[x] + inv] if x else 0 for x in v[col:]]
+                self._rows[col] = field._scale(field._exp[field.q - 1 - field._log[a]], v)
                 self._rank += 1
                 return 1
-            la = log[a]
-            for k in range(col + 1, width):
-                r = row[k]
-                if r:
-                    v[k] ^= exp[log[r] + la]
+            v ^= field._scale(a, held)
         return 0
 
     def decode(self) -> np.ndarray:
-        """The original (M, symbols) block; requires full rank."""
+        """The original (M, symbols) block, as a new array; requires full rank."""
         if self.rank < self.M:
             raise ValueError("decoding requires rank M")
-        M, exp, log = self.M, self._exp, self._log
-        out: list[list[int]] = [[]] * M
-        for p in range(M - 1, -1, -1):
-            row = self._rows[p]
-            x = row[M:]
+        M, rows = self.M, self._rows
+        out = np.array([row[M:] for row in rows], dtype=np.int64)
+        for p in range(M - 2, -1, -1):
             for k in range(p + 1, M):
-                c = row[k]
-                if c:
-                    lc = log[c]
-                    x = [s ^ exp[log[b] + lc] if b else s for s, b in zip(x, out[k])]
-            out[p] = x
-        return np.array(out, dtype=np.int64)
+                out[p] ^= self.field._scale(rows[p][k], out[k])
+        return out

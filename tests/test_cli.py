@@ -479,13 +479,18 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def _readme_table(heading):
-    """{first-column names: key names} of the README table that follows `heading`."""
+def _readme_cells(heading):
+    """The cells of each body row of the README table that follows `heading`."""
     lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
     start = lines.index(heading) + 4   # blank line, header row, rule row
+    return [[c.strip() for c in line.strip("|").split("|")]
+            for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start:])]
+
+
+def _readme_table(heading):
+    """{first-column names: key names} of the README table that follows `heading`."""
     rows, tags = [], None
-    for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start:]):
-        cells = [c.strip() for c in line.strip("|").split("|")]
+    for cells in _readme_cells(heading):
         tags = tuple(re.findall(r"`([^`]+)`", cells[0])) or tags
         rows.append((tags, re.findall(r"`([^`]+)`", cells[1])))
     return rows
@@ -502,6 +507,16 @@ def test_readme_spec_tables_name_exactly_the_spec_keys():
             for tag in tags:
                 named[tag].update(keys)
         assert named == {tag: set(table) for tag, table in tables.items()}, heading
+
+
+def test_readme_field_table_names_exactly_the_default_polynomials():
+    # the README's "Field tables" rows hold (g, polynomial) pairs side by side
+    named = {}
+    for cells in _readme_cells("`DEFAULT_POLYNOMIALS`, one reduction polynomial per width g:"):
+        for g, poly in zip(cells[0::2], cells[1::2]):
+            assert int(g) not in named, g
+            named[int(g)] = int(poly, 16)
+    assert named == rlnc.DEFAULT_POLYNOMIALS
 
 
 def test_numeric_overflow_exits_3(tmp_path, capsys):

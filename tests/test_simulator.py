@@ -286,7 +286,7 @@ def test_rank_thresholds_match_decoder_rank(g):
     for i in range(n_decoder):
         dec = Decoder(f, M, 0)
         for k in range(rows):
-            dec.reduce_row(rng.integers(0, f.q, size=M).tolist())
+            dec.absorb(rng.integers(0, f.q, size=M))
             decoded[i, k] = dec.rank
     for k in range(1, rows + 1):
         a = np.bincount((thresholds <= k).sum(axis=1), minlength=M + 1) / n_sampler
