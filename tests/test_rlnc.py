@@ -235,34 +235,40 @@ def test_field_operations_reject_symbols_outside_the_field():
     assert f.scale(3, [0, 2]).tolist() == [0, f.mul(3, 2)]
 
 
-@pytest.mark.parametrize("g", [1, 8, 16])
-def test_payload_decoder_keeps_the_rank_only_basis(g):
-    # the same coefficient rows, independent, sparse and repeated, raise the
-    # rank of a rank-only and of a 3-symbol payload decoder alike, and both
-    # hold the same coefficients at every pivot
+@pytest.mark.parametrize("g, payload_symbols", [
+    *(pytest.param(g, 0, id=str(g)) for g in (1, 8, 16)),
+    *(pytest.param(g, 3, id=f"{g}-payload") for g in (1, 8, 16)),
+])
+def test_reduce_row_matches_absorb(g, payload_symbols):
+    # reducing the bare coefficient rows, given as Python lists, in a
+    # rank-only decoder builds the same basis as absorbing the numpy packets,
+    # with or without payload symbols after the coefficients: over
+    # independent, sparse and repeated rows, the rank deltas are equal and
+    # every pivot holds the same coefficients
     f = GaloisField(g)
     rng = np.random.default_rng([2012, g])
-    lean = None
-    deltas = []
+    checked = None
+    absorbed, reduced = [], []
     for _ in range(500):
-        if lean is None or lean.rank == lean.M:
+        if checked is None or checked.rank == checked.M:
             M = int(rng.integers(1, 9))
-            lean, full, seen = Decoder(f, M, 0), Decoder(f, M, 3), []
+            checked = Decoder(f, M, payload_symbols)
+            lean, seen = Decoder(f, M, 0), []
         if seen and rng.random() < 0.2:
             row = seen[rng.integers(0, len(seen))]
         else:
             row = rng.integers(0, f.q, size=M, dtype=np.int64) * (rng.random(M) < 0.6)
         seen.append(row)
-        payload = rng.integers(0, f.q, size=3, dtype=np.int64)
-        delta = lean.absorb(row)
-        assert full.absorb(np.concatenate((row, payload))) == delta
-        deltas.append(delta)
-        assert lean.rank == full.rank
-        for a, b in zip(lean._rows, full._rows):
+        payload = rng.integers(0, f.q, size=payload_symbols, dtype=np.int64)
+        absorbed.append(checked.absorb(np.concatenate((row, payload))))
+        reduced.append(lean.absorb(row.tolist()))
+        assert lean.rank == checked.rank
+        for a, b in zip(lean._rows, checked._rows):
             assert (a is None) == (b is None)
             if a is not None:
                 assert np.array_equal(a, b[:M])
-    assert 0 < sum(deltas) < len(deltas)
+    assert absorbed == reduced
+    assert 0 < sum(absorbed) < len(absorbed)
 
 
 def test_absorb_and_decode_share_no_memory_with_callers():
