@@ -3,7 +3,8 @@
 One round loop advances every run at once.  A round sends each unfinished
 run a burst sized for its transmitter's belief b, then waits for an ACK; a
 heard ACK sets the belief to the receiver's deficit.  A burst's arrivals are
-drawn from Binomial(N_b, 1 - Pe) by inverse CDF (`_arrival_table`).  The
+drawn from Binomial(N_b, 1 - Pe) by inverse CDF, searched in a table of
+P(K <= k) up to the most arrivals any run can use (`_arrival_cdf`).  The
 receiver counts the arrivals credited to it, and its deficit is M less the
 number of rank thresholds that count has reached.  The modes differ only in
 the receiver step:
@@ -66,8 +67,8 @@ class SimConfig:
             if self.field_g is None:
                 raise ValueError("rlnc mode requires field_g")
             object.__setattr__(self, "field_g", as_int(self.field_g, "field_g"))
-            if not 1 <= self.field_g <= 16:
-                raise ValueError("field_g must lie in [1, 16]")
+            if self.field_g < 1:
+                raise ValueError("field_g must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,47 +84,36 @@ class SimResult:
     runs: int
 
 
-def _arrival_table(N, Pe: float, most: int) -> np.ndarray:
-    """The law of one burst's arrivals, one row per burst size, shape (len(N), most + 1).
+def _arrival_cdf(N, Pe: float, most: int) -> np.ndarray:
+    """The CDF of one burst's arrivals, one row per burst size, shape (len(N), most).
 
-    Row s holds P(K = k) for k < c and P(K >= c) at k = c, where
-    K ~ Binomial(N[s], 1 - Pe) and c = min(N[s], most): no run can use more
-    than `most` arrivals, so the table stays small for any burst size.
-    Columns past c are 0.
+    Row s holds P(K <= k) for k < c, where K ~ Binomial(N[s], 1 - Pe) and
+    c = min(N[s], most), and inf from c on, so an inverse-CDF draw never
+    exceeds c: no run can use more than `most` arrivals, and the table
+    stays small for any burst size.
 
-    The log terms are one cumulative sum of log(pmf[k+1] / pmf[k]) from
-    N[s] log(Pe), vectorised over the sizes.  The lumped bucket is
-    1 - P(K < c) while that is at least 1/2.  Below 1/2 the median lies
-    under c, so the terms past c fall by at least (c + 1) / (k + 1) each, and
-    the bucket is summed up to 64 + 10 sqrt(most + 1) terms past `most`,
-    which leave out less than 1e-17 of it.
+    The pmf is one cumulative sum of log(pmf[k+1] / pmf[k]) from
+    N[s] log(Pe), vectorised over the sizes; column k of either cumulative
+    sum reads only terms 0..k.
     """
     N = np.asarray(N, dtype=np.float64)[:, None]
-    c = np.minimum(N, most)
-    table = (np.arange(most + 1) == c).astype(np.float64)   # Pe = 0: K = N[s]
-    if Pe == 0.0:
-        return table
-    width = most + 1 + 64 + math.ceil(10 * math.sqrt(most + 1))
-    k = np.arange(width)
-    log_odds = math.log1p(-Pe) - math.log(Pe)   # finite for every Pe in (0, 1)
-    for lo in range(0, N.shape[0], 16):   # 16 rows at a time bound the temporaries
-        n, cut = N[lo : lo + 16], c[lo : lo + 16]
-        pmf = np.empty((n.shape[0], width))
-        pmf[:, :1] = n * math.log(Pe)
-        with np.errstate(divide="ignore"):   # log(0) = -inf: no terms past n
-            pmf[:, 1:] = np.log(np.maximum(n - k[:-1], 0.0) / k[1:]) + log_odds
-        np.exp(np.cumsum(pmf, axis=1, out=pmf), out=pmf)
-        below = k < cut
-        p_below = pmf.sum(axis=1, where=below)
-        lumped = np.where(p_below <= 0.5, 1.0 - p_below, pmf.sum(axis=1, where=~below))
-        rows = table[lo : lo + 16]
-        np.multiply(pmf[:, : most + 1], below[:, : most + 1], out=rows)
-        rows[np.arange(n.shape[0]), cut[:, 0].astype(np.int64)] = lumped
-    return table
+    k = np.arange(most)
+    cdf = np.zeros((N.shape[0], most))   # Pe = 0: K = N[s], so P(K < c) = 0
+    if Pe != 0.0:
+        log_odds = math.log1p(-Pe) - math.log(Pe)   # finite for every Pe in (0, 1)
+        for lo in range(0, N.shape[0], 16):   # 16 rows at a time bound the temporaries
+            n, rows = N[lo : lo + 16], cdf[lo : lo + 16]
+            rows[:, :1] = n * math.log(Pe)
+            with np.errstate(divide="ignore"):   # log(0) = -inf: no terms past n
+                rows[:, 1:] = np.log(np.maximum(n - k[:-1], 0.0) / k[1:]) + log_odds
+            np.exp(np.cumsum(rows, axis=1, out=rows), out=rows)
+            np.cumsum(rows, axis=1, out=rows)
+    cdf[k >= np.minimum(N, most)] = np.inf
+    return cdf
 
 
 def _rank_thresholds(rng, runs: int, M: int, g: int) -> np.ndarray:
-    """Arrivals each run needs to reach rank 1..M over GF(2^g), shape (runs, M).
+    """Arrivals each run needs to reach rank 1..M over GF(2^g), float64, shape (runs, M).
 
     At deficit d a uniform coding vector raises the rank with probability
     1 - 2^(-g d), so each rank step waits a geometric number of arrivals,
@@ -134,7 +124,7 @@ def _rank_thresholds(rng, runs: int, M: int, g: int) -> np.ndarray:
     waits /= -g * math.log(2.0) * np.arange(M, 0, -1)
     np.floor(waits, out=waits)
     waits += 1.0
-    return np.cumsum(waits, axis=1, out=waits).astype(np.int64)
+    return np.cumsum(waits, axis=1, out=waits)
 
 
 def run_records(
@@ -153,25 +143,20 @@ def run_records(
         thresholds = _rank_thresholds(rng, runs, M, cfg.field_g)
         most = int(thresholds[:, -1].max())
     sizes, size_of = np.unique(np.array(policy.N, dtype=np.int64), return_inverse=True)
-    size_of = np.concatenate(([0], size_of))   # indexed by belief; [0] is never read
     round_time = sizes * T_p + T_w
-    # cdf[s, k] = P(K <= k) for k < c on a burst of sizes[s]; inf past c, so K
-    # never exceeds c.  Beliefs that send the same size share a row
-    cdf = _arrival_table(sizes, sys.Pe, most)
-    cdf = np.cumsum(cdf, axis=1, out=cdf)[:, :-1]
-    cdf[np.arange(most) >= np.minimum(sizes, most)[:, None]] = np.inf
+    cdf = _arrival_cdf(sizes, sys.Pe, most)
     records = np.empty((runs, 3), dtype=np.float64)
     # the unfinished runs' state, compacted as runs finish
     run = np.arange(runs)
     belief = np.full(runs, M, dtype=np.int64)
     credited = np.zeros(runs, dtype=np.int64)
     elapsed = np.zeros(runs)
-    sent = np.zeros(runs, dtype=np.int64)
+    sent = np.zeros(runs)   # float64 like the records: an int64 count wraps past 2^63
     stops = 0
     while run.size:
         burst, ack = rng.random((2, runs))[:, run]
         stops += 1
-        size = size_of[belief]
+        size = size_of[belief - 1]   # a live run's belief is >= 1; equal sizes share a row
         elapsed += round_time[size]
         sent += sizes[size]
         arrivals = np.empty(run.size, dtype=np.int64)
@@ -207,8 +192,8 @@ def summarize(records: np.ndarray, timing: Timing) -> SimResult:
     times = records[:, 0]
     runs = records.shape[0]
     stderr = float(np.std(times, ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
-    buckets = np.floor(times / timing.T_p).astype(np.int64)
-    values, counts = np.unique(buckets, return_counts=True)
+    # floor stays float: int64 would wrap past 2^63, int() does not
+    values, counts = np.unique(np.floor(times / timing.T_p), return_counts=True)
     return SimResult(
         mean_completion=float(times.mean()),
         stderr=stderr,

@@ -340,7 +340,6 @@ def test_invalid_specs_exit_2_without_output(tmp_path, capsys):
         {"mode": "rlnc", "field_g": 8.0},
         {"mode": "rlnc", "field_g": True},
         {"mode": "rlnc", "field_g": 0},
-        {"mode": "rlnc", "field_g": 17},
         {"mode": "chain", "runs": 2.9},
         {"mode": "chain", "runs": "ten"},
         {"mode": "chain", "runs": True},
@@ -447,6 +446,34 @@ def test_rlnc_csv_matches_pinned_hashes_without_a_field_table(tmp_path, monkeypa
         out = tmp_path / f"g{field_g}.csv"
         assert main(["--config", _write(tmp_path, spec), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, field_g
+
+
+def test_rlnc_accepts_field_widths_past_16(tmp_path):
+    # only q = 2^g enters rlnc: field_g defaults to params.g and has no upper bound
+    params = {"M": 3, "n": 1000, "g": 32, "h": 80, "n_ack": 100, "R": 1e6, "T_rt": 0.1,
+              "Pe": 0.3, "Pe_ack": 0.1}
+    for sim in ({"mode": "rlnc", "runs": 20}, {"mode": "rlnc", "runs": 20, "field_g": 17}):
+        spec = {"schema_version": 1, "command": "simulate", "params": params, "sim": sim}
+        out = tmp_path / "out.csv"
+        assert main(["--config", _write(tmp_path, spec), "--out", str(out)]) == 0
+        assert {r["sim_mode"] for r in _read_rows(out)} == {"rlnc"}
+
+
+def test_simulate_row_counts_packets_past_2_63(tmp_path, capsys):
+    # M = 1 sends N every round, so the mean packets are N times the mean stops,
+    # far past int64's range, and the histogram keys stay whole numbers
+    N = 2**53
+    spec = {"schema_version": 1, "command": "simulate",
+            "params": {"M": 1, "n": 1000, "g": 8, "h": 80, "n_ack": 100,
+                       "R": 1e6, "T_rt": 0.1, "Pe": 0.5, "Pe_ack": 0.999},
+            "policy": {"type": "explicit", "N": [N]},
+            "sim": {"mode": "physical", "runs": 50}, "master_seed": 1}
+    out = tmp_path / "out.csv"
+    assert main(["--config", _write(tmp_path, spec), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = {r["metric"]: r["value"] for r in _read_rows(out)}
+    assert rows["sim_mean_packets"] == format(N * float(rows["sim_mean_stops"]), ".8e")
+    assert rows["sim_mean_packets"] == "9.16968913e+18"
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

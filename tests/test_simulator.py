@@ -18,7 +18,7 @@ from tddnc.params import SystemParams, Timing, derive_timing
 from tddnc.rlnc import Decoder, GaloisField
 from tddnc.simulator import (
     SimConfig,
-    _arrival_table,
+    _arrival_cdf,
     _rank_thresholds,
     run_records,
     simulate,
@@ -178,6 +178,23 @@ def test_summarize_single_and_tied_runs():
     assert two.mean_completion == 4.0 and two.stderr == 0.0
 
 
+def test_summarize_keeps_histogram_keys_past_2_63():
+    # bucket keys are whole multiples of T_p beyond int64's range
+    t = Timing(T_p=1.0, T_ack=0.1, T_w=2.0)
+    r = summarize(np.array([[1e19, 2**53, 1], [2.5e19, 2**53, 2], [1e19, 2**53, 1]]), t)
+    assert r.histogram == ((10**19, 2), (25 * 10**18, 1))
+
+
+def test_packets_sent_count_exactly_past_2_63():
+    # M = 1 sends N every round, so a run's packets are N times its stops
+    N = 2**53
+    sys = _sys(M=1, Pe=0.5, Pe_ack=0.999)
+    cfg = SimConfig(mode="physical", runs=50, master_seed=1)
+    rec = run_records(Policy((N,)), sys, derive_timing(sys), cfg)
+    assert rec[:, 1].max() > 2**63
+    assert np.array_equal(rec[:, 1], N * rec[:, 2])
+
+
 def test_summarize_spread():
     t = Timing(T_p=1.0, T_ack=0.1, T_w=2.0)
     r = summarize(np.array([[1.0, 2, 1], [3.0, 4, 2]]), t)
@@ -195,15 +212,17 @@ def test_config_validation():
         SimConfig(runs=0)
     with pytest.raises(ValueError):
         SimConfig(master_seed=-1)
-    for field_g in (None, 0, 17):
+    for field_g in (None, 0):
         with pytest.raises(ValueError):
             SimConfig(mode="rlnc", field_g=field_g)
+    # only q = 2^g enters rlnc, so any width from 1 up is valid
+    assert SimConfig(mode="rlnc", field_g=17).field_g == 17
     for field_g in (True, 8.0, "8"):
         with pytest.raises(TypeError):
             SimConfig(mode="rlnc", field_g=field_g)
     # chain reads no field: any field_g, even one rlnc rejects, is ignored
     assert SimConfig(mode="chain", field_g=8).field_g == 8
-    assert SimConfig(mode="chain", field_g=17).mode == "chain"
+    assert SimConfig(mode="chain", field_g=0).mode == "chain"
 
 
 @pytest.mark.parametrize("field", ["runs", "master_seed"])
@@ -253,24 +272,24 @@ def test_analytic_profile_matches_simulated_intermediate_starts():
 @pytest.mark.parametrize("N, Pe, most", [
     ((1, 2, 3, 5, 8, 30), 0.5, 8),
     ((1, 4, 9, 100), 0.1, 8),
-    ((3, 7, 2000), 0.0, 8),                          # all mass at N_b, lumped when N_b > most
-    ((5, 100, 10**6, 2**53), 0.3, 8),                # N_b >> M: P(K >= most) = 1
+    ((3, 7, 2000), 0.0, 8),                          # all mass at N_b: zeros below it
+    ((5, 100, 10**6, 2**53), 0.3, 8),                # N_b >> M: P(K < most) = 0
     ((10**6, 2**53), 1 - 1e-6, 20),                  # N_b >> M at a tiny success rate
     ((12, 50), 0.999, 12),
-    (tuple(range(400, 1100, 25)), 0.5, 500),         # lumped bucket near the median
+    (tuple(range(400, 1100, 25)), 0.5, 500),         # CDF cut near the median
 ])
 def test_arrival_table_equals_scipy_binomial(N, Pe, most):
-    # the burst law the simulator samples: pmf below c = min(N_b, most), the
-    # upper tail P(K >= c) lumped at c, zeros past it
-    table = _arrival_table(N, Pe, most)
-    assert table.shape == (len(N), most + 1)
-    for row, n in zip(table, N):
+    # the burst law the simulator samples: P(K <= k) below c = min(N_b, most),
+    # inf from c on.  binom.cdf rounds tails near 1e-300 to 0, so the
+    # reference sums scipy's pmf
+    cdf = _arrival_cdf(N, Pe, most)
+    assert cdf.shape == (len(N), most)
+    for row, n in zip(cdf, N):
         c = min(n, most)
-        ref = np.zeros(most + 1)
-        ref[:c] = binom.pmf(np.arange(c), n, 1 - Pe)
-        ref[c] = binom.sf(c - 1, n, 1 - Pe)
+        assert np.isinf(row[c:]).all() and np.isfinite(row[:c]).all()
+        ref = np.cumsum(binom.pmf(np.arange(c), n, 1 - Pe))
         # subnormal terms carry fewer than 53 bits, so they get an absolute floor
-        np.testing.assert_allclose(row, ref, rtol=1e-12, atol=np.finfo(float).tiny)
+        np.testing.assert_allclose(row[:c], ref, rtol=1e-12, atol=np.finfo(float).tiny)
 
 
 @pytest.mark.parametrize("g", [1, 2])
@@ -294,6 +313,14 @@ def test_rank_thresholds_match_decoder_rank(g):
         pooled = (a * n_sampler + b * n_decoder) / (n_sampler + n_decoder)
         se = np.sqrt(pooled * (1 - pooled) * (1 / n_sampler + 1 / n_decoder))
         assert (np.abs(a - b) <= 4.5 * se + 1e-12).all(), (k, a, b)
+
+
+def test_rank_thresholds_are_one_to_M_in_a_wide_field():
+    # over GF(2^64) no uniform in (0, 1] waits past one arrival: every
+    # coding vector raises the rank
+    M = 40
+    thresholds = _rank_thresholds(np.random.default_rng(5), 2000, M, 64)
+    assert (thresholds == np.arange(1, M + 1)).all()
 
 
 def test_receiver_oracle_reduces_to_the_chain_and_to_physical():
