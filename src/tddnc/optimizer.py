@@ -16,7 +16,6 @@ from .markov import (
 )
 from .params import BitChannel, SystemParams, Timing, as_int, derive_timing, with_bit_channel
 
-_FIRST_BLOCK = 16
 _BLOCK_ENTRIES = 1 << 16
 _RESCORE_REL = 1e-10
 _SCAN_TERMS = 32  # a numpy block costs about as much as this many scalar binomial terms
@@ -25,8 +24,10 @@ _SCAN_TERMS = 32  # a numpy block costs about as much as this many scalar binomi
 class SearchCounts(NamedTuple):
     """Candidates N of one state's search, by how they were scored.
 
-    scanned    scored by the scalar scan, N = i included
-    estimated  estimated in numpy blocks
+    scanned    scored by the scalar routine without an estimate: the seed, the
+               candidates of a range too short for a numpy block, and the tie
+               check past the range
+    estimated  estimated in a numpy block
     rescored   estimates re-scored by the scalar routine
 
     `state_completion_time` is called scanned + rescored times.
@@ -58,12 +59,15 @@ class ThroughputPoint:
     policy: Policy
 
 
-def _log_factorials(table, top):
-    """`table`, whose entry m is math.lgamma(m + 1), grown to reach index `top`."""
+def _grown(table, top, entry):
+    """`table`, whose entry m is entry(m), grown to reach index `top`.
+
+    A growth at least doubles the table, so a search grows it O(log N) times.
+    """
     if top < table.size:
         return table
-    more = (math.lgamma(m + 1) for m in range(table.size, top + 1))
-    return np.concatenate((table, np.fromiter(more, float, top + 1 - table.size)))
+    size = max(top + 1, 2 * table.size)
+    return np.concatenate((table, np.fromiter(map(entry, range(table.size, size)), float)))
 
 
 def _hankel(v, start, rows, cols):
@@ -72,17 +76,21 @@ def _hankel(v, start, rows, cols):
     return np.ndarray((rows, cols), v.dtype, v, start * step, (step, step))
 
 
-def _estimates(i, ns, cost, T, Pe, Pa, log_fact):
-    """`state_completion_time(i, N, T, ...)` for the consecutive candidates N > i in `ns`.
+def _estimates(i, n0, n1, T, Pe, Pa, T_p, T_w, powers, log_fact):
+    """`state_completion_time(i, N, T, ...)` for the candidates i <= n0 <= N < n1.
 
-    `cost` holds each candidate's round cost N*T_p + T_w and `log_fact[m]`
-    is math.lgamma(m + 1).  The operands and their order match the scalar
-    routine, and Pe**N is Python's own power, so the only difference is
-    np.exp against math.exp in the binomial terms (at most an ulp each).
+    `powers[m]` is Python's Pe**m and `log_fact[m]` is math.lgamma(m + 1).
+    The operands and their order match the scalar routine, so the only
+    difference is np.exp against math.exp in the binomial terms, a few ulps
+    each.  The terms are positive and summed in the scalar loop's order, so
+    an estimate is within a few ulps of the scalar value; `1 - Pe**N` is
+    the scalar routine's own, so its cancellation near Pe = 1 adds nothing.
+    The tests hold the estimates to 1e-12 relative, 100x inside the re-score
+    window.
     """
-    n0, n1 = int(ns[0]), int(ns[-1]) + 1
-    progress = 1.0 - np.fromiter((Pe**n for n in range(n0, n1)), float, n1 - n0)
-    t = cost / ((1.0 - Pa) * progress)
+    ns = np.arange(n0, n1)
+    progress = 1.0 - powers[n0:n1]
+    t = (ns * T_p + T_w) / ((1.0 - Pa) * progress)
     p = 1.0 - Pe
     if i == 1 or p == 1.0:
         # no binomial term survives: acc is 0.0, or NaN where a lower T is not finite
@@ -102,14 +110,38 @@ def _estimates(i, ns, cost, T, Pe, Pa, log_fact):
     return t + x.sum(axis=0) / progress
 
 
-def _first_excluded(reach, best_t, start):
-    """First index from `start` on whose bound is not below `best_t`, else len(reach).
+def _live_end(n, stop, best_t, Pa, T_p, T_w):
+    """First N in [n, stop) whose bound (N*T_p + T_w)/(1 - Pa) is not below `best_t`, else `stop`.
 
-    `reach` is nondecreasing, so the entries below `best_t` form a prefix;
-    a NaN bound is never below it.
+    The bound grows with N, so a galloping search finds it in O(log) steps;
+    a NaN `best_t` leaves no N live.
     """
-    start = max(start, 0)
-    return start + int(np.count_nonzero(reach[start:] < best_t))
+    lo = hi = n
+    step = 1
+    while hi < stop and (hi * T_p + T_w) / (1.0 - Pa) < best_t:
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    hi = min(hi, stop)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mid * T_p + T_w) / (1.0 - Pa) < best_t:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _seed_N1(Pe, T_p, T_w):
+    """The rounded real minimizer of T_1, the first candidate the search scores at i = 1.
+
+    It is ln(-W) / -ln(Pe) with W = W_{-1}(-exp(-1 - d)) and
+    d = -ln(Pe)*T_w/T_p, the value of `continuous_optimum_N1` without its
+    cancellation.  Pe = 0 or a minimizer that is not finite gives 1.
+    """
+    if Pe == 0.0:
+        return 1
+    ln_pe = math.log(Pe)
+    x = math.log(-_w_minus1_at(-ln_pe * (T_w / T_p))) / -ln_pe
+    return max(1, round(x)) if math.isfinite(x) else 1
 
 
 def optimal_policy(sys: SystemParams, timing: Timing) -> OptimalPolicyResult:
@@ -122,73 +154,81 @@ def optimal_policy(sys: SystemParams, timing: Timing) -> OptimalPolicyResult:
 
         T_i(N) >= (N*T_p + T_w) / (1 - Pe_ack),
 
-    a bound that grows with N.  The search runs upward from N = i and stops
-    at the first N above the best so far where this bound reaches the best
-    T_i: no larger N can do better, so the minimum is proven and nothing is
-    tuned.  That N is reported as the search bound.  Ties break toward
-    smaller N.
+    a bound that grows with N.  Each state first scores a seed, a guess at
+    N_i: the rounded continuous optimum at i = 1 (`_seed_N1`), else the
+    line through N_{i-2} and N_{i-1} (N_0 = 0), never below i.  Only an N
+    whose bound is below the seed's time can beat it, so the search scores
+    that whole range, [i, first N whose bound reaches it), and the minimum
+    is proven; nothing is tuned.  The first N above N_i whose bound reaches
+    T_i is reported as the search bound.  Ties break toward smaller N, and
+    a seed past the range is tied only by an N whose bound equals its time.
 
-    The first max(1, 32 // i) candidates are scored with the scalar
-    `state_completion_time`: a call costs about i binomial terms, a numpy
-    block about 32, so short searches stay scalar.  Further N are
-    estimated with numpy in blocks of 16 that double up to about 2**16
-    matrix entries.  Every candidate within 1e-10 relative of a block's
-    minimum estimate is re-scored with the scalar routine, and the winner
-    and its T_i come from those scalar values, so policies and profiles are
-    exactly those of a scalar search.  The block sizes and the 32 set only
-    the speed.
+    A range whose scalar calls would cost at most 32 binomial terms (a call
+    at state i costs about i) is scored with the scalar
+    `state_completion_time`.  A longer one is estimated with numpy in one
+    block, split only past about 2**16 matrix entries.  Every candidate
+    within 1e-10 relative of a block's minimum estimate is re-scored with
+    the scalar routine, and the winner and its T_i come from those scalar
+    values, so policies and profiles are exactly those of a scalar search.
+    The seed, the 32 and the block cap set only the speed.
     """
     with np.errstate(all="ignore"):  # overflow and 0*inf behave as in the scalar routine
         return _search(sys.M, sys.Pe, sys.Pe_ack, timing.T_p, timing.T_w)
 
 
 def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
-    # log-factorials up to the largest N this search reaches, first filled to
-    # M + _FIRST_BLOCK so that the states' first blocks do not each grow it
-    log_fact = np.zeros(0)
+    # Pe**m and lgamma(m + 1) up to the largest N this search reaches
+    powers, log_fact = np.zeros(0), np.zeros(0)
     T: list[float] = [0.0]
-    sizes: list[int] = []
+    sizes = [0]
     bounds: list[int] = []
     counts: list[SearchCounts] = []
     for i in range(1, M + 1):
-        best_t, best_n = state_completion_time(i, i, T, Pe, Pa, T_p, T_w), i
-        estimated = rescored = 0
-        n, scan_end = i + 1, i + max(1, _SCAN_TERMS // i)
-        while n < scan_end and (n * T_p + T_w) / (1.0 - Pa) < best_t:
-            t = state_completion_time(i, n, T, Pe, Pa, T_p, T_w)
-            if t < best_t:
-                best_t, best_n = t, n
-            n += 1
-        scanned = n - i
-        stopped = not (n * T_p + T_w) / (1.0 - Pa) < best_t
-        width = _FIRST_BLOCK
-        widest = max(_FIRST_BLOCK, _BLOCK_ENTRIES // max(1, i - 1))
-        while not stopped:
-            ns = np.arange(n, n + width)
-            cost = ns * T_p + T_w
-            reach = cost / (1.0 - Pa)
-            live = _first_excluded(reach, best_t, 0)
-            if live:
-                log_fact = _log_factorials(log_fact, max(n + live - 1, M + _FIRST_BLOCK))
-                est = _estimates(i, ns[:live], cost[:live], T, Pe, Pa, log_fact)
-                estimated += live
+        seed = max(i, 2 * sizes[-1] - sizes[-2]) if i > 1 else _seed_N1(Pe, T_p, T_w)
+        best_t, scanned = state_completion_time(i, seed, T, Pe, Pa, T_p, T_w), 1
+        if seed > i and not best_t < math.inf:
+            # a seed without a finite time bounds nothing: search upward from N = i
+            seed, best_t, scanned = i, state_completion_time(i, i, T, Pe, Pa, T_p, T_w), 2
+        best_n, estimated, rescored = seed, 0, 0
+        widest = _BLOCK_ENTRIES // max(1, i - 1)
+        n = i
+        while True:
+            end = _live_end(n, n + widest, best_t, Pa, T_p, T_w)
+            scalar = (end - n - 1) * i <= _SCAN_TERMS
+            if scalar:
+                scored = [m for m in range(n, end) if m != seed]
+            else:
+                powers = _grown(powers, end - 1, lambda m: Pe**m)
+                if i > 1:
+                    log_fact = _grown(log_fact, end - 1, lambda m: math.lgamma(m + 1))
+                est = _estimates(i, n, end, T, Pe, Pa, T_p, T_w, powers, log_fact)
+                estimated += end - n
                 low = np.fmin.reduce(est)  # skips NaN
-                if low < math.inf:
-                    near = (est <= low + low * _RESCORE_REL).nonzero()[0].tolist()
-                    rescored += len(near)
-                    for r in near:
-                        t = state_completion_time(i, n + r, T, Pe, Pa, T_p, T_w)
-                        if t < best_t:
-                            best_t, best_n = t, n + r
-            stop = _first_excluded(reach, best_t, best_n + 1 - n)
-            stopped = stop < width
-            n, width = n + min(stop, width), min(2 * width, widest)
+                near = np.flatnonzero(est <= low + low * _RESCORE_REL).tolist()
+                scored = [n + r for r in near if n + r != seed] if low < math.inf else []
+            for m in scored:
+                if m > best_n and not (m * T_p + T_w) / (1.0 - Pa) < best_t:
+                    break  # neither this N nor a larger one can beat or tie the best
+                t = state_completion_time(i, m, T, Pe, Pa, T_p, T_w)
+                scanned, rescored = scanned + scalar, rescored + (not scalar)
+                if t < best_t or (t == best_t and m < best_n):
+                    best_t, best_n = t, m
+            if end < n + widest:
+                break
+            n = end
+        # past the live range every bound is at least the seed's time, so a
+        # smaller N ties the seed only where its bound equals that time
+        for m in range(end, best_n):
+            scanned += 1
+            if state_completion_time(i, m, T, Pe, Pa, T_p, T_w) == best_t:
+                best_n = m
+                break
         sizes.append(best_n)
-        bounds.append(n)
+        bounds.append(_live_end(best_n + 1, end, best_t, Pa, T_p, T_w))
         counts.append(SearchCounts(scanned, estimated, rescored))
         T.append(best_t)
     return OptimalPolicyResult(
-        policy=Policy(tuple(sizes)),
+        policy=Policy(tuple(sizes[1:])),
         profile=CompletionProfile(tuple(T)),
         search_bounds_used=tuple(bounds),
         search_counts=tuple(counts),

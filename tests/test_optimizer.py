@@ -98,9 +98,67 @@ def test_optimal_policy_equals_bounded_scalar_search():
         assert res.policy.N == N, (M, pe, pe_ack, ratio)
         assert res.profile.T == T, (M, pe, pe_ack, ratio)
         assert res.profile.T == expected_completion(res.policy, _sys(M=M, Pe=pe, Pe_ack=pe_ack), t).T
-        for i, bound in enumerate(res.search_bounds_used, 1):
-            assert bound > N[i - 1]
-            assert (bound * t.T_p + t.T_w) / (1.0 - pe_ack) >= T[i]
+        _assert_first_excluded(res, pe_ack, t)
+
+
+def _assert_first_excluded(res, pe_ack, t):
+    """Each search bound is the first N > N_i where (N*T_p + T_w)/(1 - Pe_ack) reaches T_i."""
+    def reach(n):
+        return (n * t.T_p + t.T_w) / (1.0 - pe_ack)
+
+    for n_i, t_i, bound in zip(res.policy.N, res.profile.T[1:], res.search_bounds_used):
+        assert bound > n_i
+        assert not reach(bound) < t_i
+        assert bound == n_i + 1 or reach(bound - 1) < t_i
+
+
+@pytest.mark.parametrize("M, pe, pe_ack, T_p, T_w", [
+    (5, 1e-17, 0.0, 1e-20, 1.0),   # a tie plateau: every N scores the same T_i
+    (3, 0.5, 0.0, 1e-20, 1.0),     # the first seed, 66, lies past the plateau it ties
+    (3, 0.5, 0.3, 1e-20, 1.0),
+    (4, 0.0, 0.2, 1e-3, 0.5),
+    (6, 0.0, 0.0, 1e-3, 0.0),
+    (6, 0.6, 0.99, 1e-3, 0.05),
+    (12, 0.3, 0.99, 1e-3, 2.0),
+])
+def test_search_where_the_seed_misses_equals_bounded_scalar_search(M, pe, pe_ack, T_p, T_w):
+    t = Timing(T_p=T_p, T_ack=0.0, T_w=T_w)
+    res = optimal_policy(_sys(M=M, Pe=pe, Pe_ack=pe_ack), t)
+    N, T = _bounded_scalar_search(M, pe, pe_ack, T_p, T_w)
+    assert res.policy.N == N
+    assert res.profile.T == T
+    _assert_first_excluded(res, pe_ack, t)
+
+
+def test_search_on_a_tie_plateau_keeps_the_smallest_burst():
+    res = optimal_policy(_sys(M=5, Pe=1e-17), Timing(T_p=1e-20, T_ack=0.0, T_w=1.0))
+    assert res.policy.N == (1, 2, 3, 4, 5)
+    assert res.search_bounds_used == (2, 3, 4, 5, 6)
+
+
+def test_search_near_certain_loss_pins_policy_and_bounds():
+    # two bursts of thousands of packets; the bound excludes N only near T_i / T_p
+    sys = SystemParams(M=2, n=10000, g=8, h=80, n_ack=100, R=1.5e6, T_rt=0.25,
+                       Pe=0.99999, Pe_ack=0.001)
+    res = optimal_policy(sys, derive_timing(sys))
+    assert res.policy.N == (2714, 11870)
+    assert res.search_bounds_used == (102714, 203120)
+    _assert_first_excluded(res, 0.001, derive_timing(sys))
+
+
+@pytest.mark.parametrize("pe", [0.3, 0.9, 0.999, 1 - 1e-6])
+def test_estimates_are_within_1e_12_of_the_scalar_routine(pe):
+    # Near Pe = 1, 1 - Pe**N cancels; the estimates share the scalar routine's power
+    top = 10**4
+    powers = np.array([pe**m for m in range(top + 1)])
+    log_fact = np.array([math.lgamma(m + 1) for m in range(top + 1)])
+    for i in (1, 2, 7, 23, 40):
+        T = [0.0] + [j * (1.0 + 0.37 * math.sin(j)) for j in range(1, i)]
+        for n0, n1 in ((i, i + 60), (top - 59, top + 1)):
+            est = optimizer._estimates(i, n0, n1, T, pe, 0.05, 1e-3, 0.4, powers, log_fact)
+            exact = np.array([state_completion_time(i, n, T, pe, 0.05, 1e-3, 0.4)
+                              for n in range(n0, n1)])
+            assert np.all(np.abs(est - exact) <= 1e-12 * exact), (i, n0)
 
 
 def test_search_counts_account_for_every_scalar_call(monkeypatch):
@@ -122,7 +180,9 @@ def test_search_counts_account_for_every_scalar_call(monkeypatch):
         assert all(c.scanned >= 1 and 0 <= c.rescored <= c.estimated for c in res.search_counts)
         assert optimal_policy(_sys(M=M, Pe=pe, Pe_ack=0.01), t).search_counts == res.search_counts
         if (M, pe) == (2, 0.9):
-            assert sum(c.estimated for c in res.search_counts) > 0
+            # state 1's range is estimated in one block: the seed is its only scalar call
+            assert res.search_counts[0].scanned == 1
+            assert res.search_counts[0].estimated > 0
 
 
 def test_optimal_policy_beats_fixed_windows():
