@@ -113,7 +113,7 @@ def _assert_first_excluded(res, pe_ack, t):
 
 
 @pytest.mark.parametrize("M, pe, pe_ack, T_p, T_w", [
-    (5, 1e-17, 0.0, 1e-20, 1.0),   # a tie plateau: every N scores the same T_i
+    (5, 1e-17, 0.0, 1e-20, 1.0),   # a tie plateau: N_i = i, bounds i + 1
     (3, 0.5, 0.0, 1e-20, 1.0),     # the first seed, 66, lies past the plateau it ties
     (3, 0.5, 0.3, 1e-20, 1.0),
     (4, 0.0, 0.2, 1e-3, 0.5),
@@ -128,12 +128,6 @@ def test_search_where_the_seed_misses_equals_bounded_scalar_search(M, pe, pe_ack
     assert res.policy.N == N
     assert res.profile.T == T
     _assert_first_excluded(res, pe_ack, t)
-
-
-def test_search_on_a_tie_plateau_keeps_the_smallest_burst():
-    res = optimal_policy(_sys(M=5, Pe=1e-17), Timing(T_p=1e-20, T_ack=0.0, T_w=1.0))
-    assert res.policy.N == (1, 2, 3, 4, 5)
-    assert res.search_bounds_used == (2, 3, 4, 5, 6)
 
 
 def test_search_near_certain_loss_pins_policy_and_bounds():
