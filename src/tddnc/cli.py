@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import math
+import operator
 import os
 import sys as _sys
 from dataclasses import replace
@@ -83,11 +84,13 @@ def _fmt_param(v) -> str:
 
 
 _BLANK_ROW = dict.fromkeys(COLUMNS, "")
+_ROW_VALUES = operator.itemgetter(*COLUMNS)
 
 
 def _cell(sys, pe_bit, **extra) -> dict:
-    """The columns all rows of one parameter point share, formatted once; `extra` by CSV name."""
-    return {"M": str(sys.M), "n": str(sys.n), "g": str(sys.g), "h": str(sys.h),
+    """A blank row with the columns all rows of one parameter point share, formatted once;
+    `extra` by CSV name."""
+    return {**_BLANK_ROW, "M": str(sys.M), "n": str(sys.n), "g": str(sys.g), "h": str(sys.h),
             "n_ack": str(sys.n_ack), "R": str(float(sys.R)), "T_rt": str(float(sys.T_rt)),
             "Pe": str(float(sys.Pe)), "Pe_ack": str(float(sys.Pe_ack)),
             "Pe_bit": _fmt_param(pe_bit), **{key: _fmt_param(v) for key, v in extra.items()}}
@@ -101,7 +104,7 @@ def _row(cell, scheme, metric, value, **columns) -> dict:
     """
     if isinstance(value, float) and not math.isfinite(value):
         raise NonFiniteError(f"{scheme}/{metric} is not finite")
-    row = {**_BLANK_ROW, **cell, "scheme": scheme, "metric": metric, "value": _fmt_value(value)}
+    row = {**cell, "scheme": scheme, "metric": metric, "value": _fmt_value(value)}
     for key, v in columns.items():
         row[key] = _fmt_value(v) if key == "ratio_to_full_duplex" else _fmt_param(v)
     return row
@@ -329,9 +332,7 @@ def run_spec(spec: dict) -> list[dict]:
 
 
 def render_csv(rows: list[dict]) -> str:
-    lines = [",".join(COLUMNS)]
-    for row in rows:
-        lines.append(",".join(row[c] for c in COLUMNS))
+    lines = [",".join(COLUMNS), *map(",".join, map(_ROW_VALUES, rows))]
     return "\n".join(lines) + "\n"
 
 

@@ -16,18 +16,19 @@ from .markov import (
 )
 from .params import BitChannel, SystemParams, Timing, as_int, derive_timing, with_bit_channel
 
-_BLOCK_ENTRIES = 1 << 16
+_TABLE_ENTRIES = 7 << 14
+_PRODUCT_ENTRIES = 1 << 14
 _RESCORE_REL = 1e-10
-_SCAN_TERMS = 32  # a numpy block costs about as much as this many scalar binomial terms
+_SCAN_TERMS = 32  # an estimate costs about as much as this many scalar binomial terms
 
 
 class SearchCounts(NamedTuple):
     """Candidates N of one state's search, by how they were scored.
 
     scanned    scored by the scalar routine without an estimate: the seed, the
-               candidates of a range too short for a numpy block, and the tie
-               check past the range
-    estimated  estimated in a numpy block
+               candidates of a range too short to estimate, and the tie check
+               past the range
+    estimated  estimated from the search's table of terms
     rescored   estimates re-scored by the scalar routine
 
     `state_completion_time` is called scanned + rescored times.
@@ -59,55 +60,113 @@ class ThroughputPoint:
     policy: Policy
 
 
-def _grown(table, top, entry):
-    """`table`, whose entry m is entry(m), grown to reach index `top`.
+class _Terms:
+    """The terms of `state_completion_time` that one search shares between its states.
 
-    A growth at least doubles the table, so a search grows it O(log N) times.
+    None of them depends on the state.  Tables by N hold 1 - Pe**N (from
+    Python's own Pe**N), the round term (N*T_p + T_w) / ((1 - Pe_ack)(1 - Pe**N))
+    and lgamma(N + 1), grown as the search reaches larger N.  A window
+    `pmf[rows - k, N - lo]` holds the binomial pmf of k = rows..1 arrivals in
+    a burst of N, rows of descending k, so that state i reads its
+    candidates' terms as the last i - 1 rows of their columns.
+
+    The window holds at most _TABLE_ENTRIES terms.  A request that it does
+    not cover refills it from the request's first N for the later states as
+    well, as many as fit: their ranges are taken to grow in proportion to i,
+    so state s needs s - 1 rows and the columns up to about end*s/i.  A
+    range too wide for one window is walked in blocks, each filled for its
+    state alone.  So a term is computed once for all the states a window
+    serves, not once per state.  The window and the products buffer of a
+    wide estimate hold at most 2**17 floats together, 1 MB.
+
+    A pmf term keeps the scalar routine's operands in their order, so only
+    np.exp differs from math.exp, by an ulp or so; the terms are positive,
+    and a state sums its rows in the scalar loop's order, so an estimate is
+    within a few ulps of the scalar value.  The tests hold the estimates to
+    1e-12 relative, 100x inside the re-score window.
     """
-    if top < table.size:
-        return table
-    size = max(top + 1, 2 * table.size)
-    return np.concatenate((table, np.fromiter(map(entry, range(table.size, size)), float)))
 
+    def __init__(self, M, Pe, Pa, T_p, T_w):
+        self.M, self.Pe, self.Pa, self.T_p, self.T_w = M, Pe, Pa, T_p, T_w
+        p = 1.0 - Pe
+        self.lq = math.log1p(-p) if p < 1.0 else -math.inf
+        self.k_lp = np.arange(M) * math.log(p)   # k * ln(p) for k arrivals
+        self.progress = self.rounds = np.empty(0)
+        # log_fact[M + m] = lgamma(m + 1); the M entries below pad the unread
+        # terms k >= N of a row, so that every read stays inside the array
+        self.log_fact = np.zeros(M)
+        self.lo, self.buffer, self.products = 0, np.empty(0), np.empty(_PRODUCT_ENTRIES)
+        self.pmf = self.buffer.reshape(0, 0)   # a view of `buffer`
 
-def _hankel(v, start, rows, cols):
-    """Read-only view of the contiguous float array `v` whose [r, c] is v[start + r + c]."""
-    step = v.itemsize
-    return np.ndarray((rows, cols), v.dtype, v, start * step, (step, step))
+    def estimates(self, i, n, end, T):
+        """`state_completion_time(i, N, T, ...)` for n <= N < end; (i - 1)(end - n) <= _TABLE_ENTRIES."""
+        rows, width = self.pmf.shape
+        if i > rows + 1 or not self.lo <= n < end <= self.lo + width:
+            self._refill(i, n, end)
+            rows = self.pmf.shape[0]
+        pmf = self.pmf[rows - i + 1:, n - self.lo:end - self.lo]
+        weights = np.array(T[1:i])[:, None]
+        # a sum over the outer axis adds the rows one by one, in the scalar loop's
+        # order (numpy sums pairwise only along the contiguous axis)
+        if pmf.size <= _PRODUCT_ENTRIES:
+            acc = (pmf * weights).sum(axis=0)
+        else:
+            # tiles of the products buffer whose first row carries the sums so far
+            acc, width = np.zeros(end - n), min(end - n, _PRODUCT_ENTRIES // 2)
+            step = _PRODUCT_ENTRIES // width - 1
+            tiles = self.products[:(step + 1) * width].reshape(step + 1, width)
+            for c in range(0, end - n, width):
+                sums = acc[c:c + width]
+                for r in range(0, i - 1, step):
+                    part = pmf[r:r + step, c:c + width]
+                    tile = tiles[:len(part) + 1, :sums.size]
+                    tile[0] = sums
+                    np.multiply(part, weights[r:r + step], out=tile[1:])
+                    np.add.reduce(tile, axis=0, out=sums)
+        return self.rounds[n:end] + acc / self.progress[n:end]
 
+    def _refill(self, i, n, end):
+        """Fill the window from N = n for state i and, at its range's first block, the later states that fit."""
+        last, top = i, self.M if n == i else i
+        while last < top:   # bisect for the last state s whose terms fit
+            mid = (last + top + 1) // 2
+            if (mid - 1) * (-(-end * mid // i) - n) <= _TABLE_ENTRIES:
+                last = mid
+            else:
+                top = mid - 1
+        rows, cols = last - 1, -(-end * last // i) - n
+        self._grow(n + cols)
+        if self.buffer.size < rows * cols:
+            size = max(rows * cols, min(2 * self.buffer.size, _TABLE_ENTRIES))
+            self.pmf = self.buffer = None   # freed before its successor is allocated
+            self.buffer = np.empty(size)
+        self.pmf = pmf = self.buffer[:rows * cols].reshape(rows, cols)
+        self.lo = n
+        if not rows:
+            return
+        # entry [r, c] is k = rows - r arrivals in N = n + c; k < n + cols, and a
+        # k >= N leaves a term that no state reads
+        M, lf, step = self.M, self.log_fact, self.log_fact.itemsize
+        np.subtract(lf[M + n:M + n + cols], lf[M + 1:M + rows + 1][::-1, None], out=pmf)
+        # [r, c] of a skew view of v is v[r + c]: the lgamma and log1p terms of N - k
+        pmf -= np.ndarray((rows, cols), float, lf, (M + n - rows) * step, (step, step))
+        pmf += self.k_lp[1:rows + 1][::-1, None]
+        tail = np.arange(n - rows, n + cols - 1) * self.lq
+        pmf += np.ndarray((rows, cols), float, tail, 0, (step, step))
+        np.exp(pmf, out=pmf)
 
-def _estimates(i, n0, n1, T, Pe, Pa, T_p, T_w, powers, log_fact):
-    """`state_completion_time(i, N, T, ...)` for the candidates i <= n0 <= N < n1.
-
-    `powers[m]` is Python's Pe**m and `log_fact[m]` is math.lgamma(m + 1).
-    The operands and their order match the scalar routine, so the only
-    difference is np.exp against math.exp in the binomial terms, a few ulps
-    each.  The terms are positive and summed in the scalar loop's order, so
-    an estimate is within a few ulps of the scalar value; `1 - Pe**N` is
-    the scalar routine's own, so its cancellation near Pe = 1 adds nothing.
-    The tests hold the estimates to 1e-12 relative, 100x inside the re-score
-    window.
-    """
-    ns = np.arange(n0, n1)
-    progress = 1.0 - powers[n0:n1]
-    t = (ns * T_p + T_w) / ((1.0 - Pa) * progress)
-    p = 1.0 - Pe
-    if i == 1 or p == 1.0:
-        # no binomial term survives: acc is 0.0, or NaN where a lower T is not finite
-        return t + sum(0.0 * T[j] for j in range(1, i)) / progress
-    # x[c, r]: candidate N = n0 + r enters state j = c + 1 with k = i - 1 - c
-    # arrivals, so N - k = lo + c + r.  x is updated in place: one matrix lives.
-    width, lo = n1 - n0, n0 - i + 1
-    k = np.arange(i - 1, 0, -1)[:, None]
-    x = log_fact[n0:n1] - log_fact[k]
-    x -= _hankel(log_fact, lo, i - 1, width)
-    x += k * math.log(p)
-    x += _hankel(np.arange(lo, n1 - 1) * math.log1p(-p), 0, i - 1, width)
-    np.exp(x, out=x)
-    x *= np.array(T[1:i])[:, None]
-    # a sum over the outer axis adds the rows one by one, in the scalar loop's
-    # order (numpy sums pairwise only along the contiguous axis)
-    return t + x.sum(axis=0) / progress
+    def _grow(self, top):
+        """Extend the tables by N to N < top."""
+        ns = range(self.progress.size, top)
+        if not ns:
+            return
+        progress = 1.0 - np.fromiter(map(self.Pe.__pow__, ns), float, len(ns))
+        rounds = (np.arange(ns.start, top) * self.T_p + self.T_w) / ((1.0 - self.Pa) * progress)
+        self.progress = np.concatenate((self.progress, progress))
+        self.rounds = np.concatenate((self.rounds, rounds))
+        if self.M > 1:
+            more = np.fromiter(map(math.lgamma, range(ns.start + 1, top + 1)), float, len(ns))
+            self.log_fact = np.concatenate((self.log_fact, more))
 
 
 def _live_end(n, stop, best_t, Pa, T_p, T_w):
@@ -130,17 +189,25 @@ def _live_end(n, stop, best_t, Pa, T_p, T_w):
     return lo
 
 
+def _real_N1(Pe, T_p, T_w):
+    """The real minimizer of T_1(N) = (N*T_p + T_w) / (1 - Pe**N) for 0 < Pe < 1.
+
+    It is ln(-W) / -ln(Pe) with W = W_{-1}(-exp(-1 - d)) and
+    d = -ln(Pe)*T_w/T_p.  This equals (1 + W)/ln(Pe) - T_w/T_p, since
+    ln(-W) = -W - 1 - d, but takes no difference of large terms.
+    """
+    ln_pe = math.log(Pe)
+    return math.log(-_w_minus1_at(-ln_pe * (T_w / T_p))) / -ln_pe
+
+
 def _seed_N1(Pe, T_p, T_w):
     """The rounded real minimizer of T_1, the first candidate the search scores at i = 1.
 
-    It is ln(-W) / -ln(Pe) with W = W_{-1}(-exp(-1 - d)) and
-    d = -ln(Pe)*T_w/T_p, the value of `continuous_optimum_N1` without its
-    cancellation.  Pe = 0 or a minimizer that is not finite gives 1.
+    Pe = 0 or a minimizer that is not finite gives 1.
     """
     if Pe == 0.0:
         return 1
-    ln_pe = math.log(Pe)
-    x = math.log(-_w_minus1_at(-ln_pe * (T_w / T_p))) / -ln_pe
+    x = _real_N1(Pe, T_p, T_w)
     return max(1, round(x)) if math.isfinite(x) else 1
 
 
@@ -165,20 +232,21 @@ def optimal_policy(sys: SystemParams, timing: Timing) -> OptimalPolicyResult:
 
     A range whose scalar calls would cost at most 32 binomial terms (a call
     at state i costs about i) is scored with the scalar
-    `state_completion_time`.  A longer one is estimated with numpy in one
-    block, split only past about 2**16 matrix entries.  Every candidate
-    within 1e-10 relative of a block's minimum estimate is re-scored with
-    the scalar routine, and the winner and its T_i come from those scalar
-    values, so policies and profiles are exactly those of a scalar search.
-    The seed, the 32 and the block cap set only the speed.
+    `state_completion_time`.  A longer one is estimated at once from a
+    table of the terms that the search's states share (`_Terms`), which
+    holds at most 7 * 2**14 binomial terms; a range wider than that for its
+    state's rows is estimated in blocks.  Every candidate within 1e-10
+    relative of a block's minimum estimate is re-scored with the scalar
+    routine, and the winner and its T_i come from those scalar values, so
+    policies and profiles are exactly those of a scalar search.  The seed,
+    the 32 and the table's size set only the speed.
     """
     with np.errstate(all="ignore"):  # overflow and 0*inf behave as in the scalar routine
         return _search(sys.M, sys.Pe, sys.Pe_ack, timing.T_p, timing.T_w)
 
 
 def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
-    # Pe**m and lgamma(m + 1) up to the largest N this search reaches
-    powers, log_fact = np.zeros(0), np.zeros(0)
+    terms = None   # built at the first estimate
     T: list[float] = [0.0]
     sizes = [0]
     bounds: list[int] = []
@@ -190,7 +258,7 @@ def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
             # a seed without a finite time bounds nothing: search upward from N = i
             seed, best_t, scanned = i, state_completion_time(i, i, T, Pe, Pa, T_p, T_w), 2
         best_n, estimated, rescored = seed, 0, 0
-        widest = _BLOCK_ENTRIES // max(1, i - 1)
+        widest = _TABLE_ENTRIES // max(1, i - 1)
         n = i
         while True:
             end = _live_end(n, n + widest, best_t, Pa, T_p, T_w)
@@ -198,10 +266,8 @@ def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
             if scalar:
                 scored = [m for m in range(n, end) if m != seed]
             else:
-                powers = _grown(powers, end - 1, lambda m: Pe**m)
-                if i > 1:
-                    log_fact = _grown(log_fact, end - 1, lambda m: math.lgamma(m + 1))
-                est = _estimates(i, n, end, T, Pe, Pa, T_p, T_w, powers, log_fact)
+                terms = terms or _Terms(M, Pe, Pa, T_p, T_w)
+                est = terms.estimates(i, n, end, T)
                 estimated += end - n
                 low = np.fmin.reduce(est)  # skips NaN
                 near = np.flatnonzero(est <= low + low * _RESCORE_REL).tolist()
@@ -283,7 +349,8 @@ def lambert_w_minus1(x: float) -> float:
 def continuous_optimum_N1(sys: SystemParams, timing: Timing) -> float:
     """Real-valued stationary point of T_1(N) for the single-packet block.
 
-    N* = (1 + W_{-1}(-exp(-1 - d))) / ln(Pe) - T_w/T_p with d = -ln(Pe)*T_w/T_p.
+    N* = (1 + W_{-1}(-exp(-1 - d))) / ln(Pe) - T_w/T_p with d = -ln(Pe)*T_w/T_p,
+    evaluated as ln(-W) / -ln(Pe), which does not cancel as T_w/T_p grows.
     d is positive, so the argument falls inside (-1/e, 0); the branch is
     solved from d directly, so no exp underflows however large d is.
     Undefined at Pe = 0, where the discrete optimum is 1.
@@ -292,9 +359,7 @@ def continuous_optimum_N1(sys: SystemParams, timing: Timing) -> float:
         raise ValueError("closed form applies to M = 1")
     if not 0.0 < sys.Pe < 1.0:
         raise ValueError("Pe must lie in (0, 1); at Pe = 0 the discrete optimum is 1")
-    ratio = timing.T_w / timing.T_p
-    ln_pe = math.log(sys.Pe)
-    return (1.0 + _w_minus1_at(-ln_pe * ratio)) / ln_pe - ratio
+    return _real_N1(sys.Pe, timing.T_p, timing.T_w)
 
 
 def _block_eta(sys: SystemParams, profile: CompletionProfile) -> float:

@@ -17,6 +17,7 @@ from tddnc.markov import (
     expected_extra_receptions,
     fixed_window_completion,
     full_duplex_completion,
+    state_completion_time,
 )
 from tddnc.optimizer import (
     continuous_optimum_N1,
@@ -178,6 +179,38 @@ def test_criterion_08_chain_simulation_matches_analysis():
                 if r.stderr > 1e-12 * res.profile.T_M:
                     worst_cells.append(diff / r.stderr)
     _report(8, ok, f"36-cell Monte-Carlo grid at 10^4 runs, worst |z| {max(worst_cells):.2f} (limit 3)")
+
+
+def _unit_cost_profile(policy, pe, pa, T_p, T_w):
+    """The chain recursion at per-packet cost T_p and per-stop cost T_w; below `Timing`,
+    which rejects T_p = 0."""
+    T = [0.0]
+    for i, n_i in enumerate(policy.N, start=1):
+        T.append(state_completion_time(i, n_i, T, pe, pa, T_p, T_w))
+    return T[-1]
+
+
+def test_criterion_08_chain_packets_and_stops_match_exact_counts():
+    # unit costs turn the recursion into E[packets] at (T_p, T_w) = (1, 0) and
+    # E[stops] at (0, 1); a run's time is T_p*packets + T_w*stops exactly
+    ok, details = True, []
+    for M, pe, pa in ((6, 0.5, 0.3), (10, 0.5, 0.1), (16, 0.3, 0.2)):
+        sys = SystemParams(**{**SATELLITE, "M": M}, Pe=pe, Pe_ack=pa)
+        t = derive_timing(sys)
+        best = optimal_policy(sys, t)
+        packets = _unit_cost_profile(best.policy, pe, pa, 1.0, 0.0)
+        stops = _unit_cost_profile(best.policy, pe, pa, 0.0, 1.0)
+        identity = abs(t.T_p * packets + t.T_w * stops - best.profile.T_M)
+        ok = ok and identity <= 1e-12 * best.profile.T_M
+        runs = 20_000
+        records = run_records(best.policy, sys, t, SimConfig(mode="chain", runs=runs,
+                                                             master_seed=MASTER_SEED))
+        zs = [(records[:, c].mean() - exact) / (records[:, c].std(ddof=1) / math.sqrt(runs))
+              for c, exact in ((1, packets), (2, stops))]
+        ok = ok and all(abs(z) <= 3 for z in zs)
+        details.append(f"M={M} Pe={pe} Pe_ack={pa}: packets z {zs[0]:+.2f}, stops z {zs[1]:+.2f}")
+    _report(8, ok, "exact chain packets and stops at 2*10^4 runs (limit |z| 3): "
+            + "; ".join(details))
 
 
 def test_criterion_08_receiver_modes_match_exact_mean():

@@ -140,16 +140,42 @@ def test_search_near_certain_loss_pins_policy_and_bounds():
     _assert_first_excluded(res, 0.001, derive_timing(sys))
 
 
+def test_range_wider_than_the_table_equals_bounded_scalar_search():
+    t = Timing(T_p=1e-3, T_ack=0.0, T_w=0.05)
+    res = optimal_policy(_sys(M=8, Pe=0.9995), t)
+    # state 8's live range holds more candidates than the table holds for its 7
+    # rows, so it is walked in blocks, each refilling the table
+    assert res.search_counts[-1].estimated > optimizer._TABLE_ENTRIES // 7
+    N, T = _bounded_scalar_search(8, 0.9995, 0.0, t.T_p, t.T_w)
+    assert res.policy.N == N
+    assert res.profile.T == T
+    _assert_first_excluded(res, 0.0, t)
+
+
+def test_estimates_past_an_infinite_lower_time_equal_bounded_scalar_search():
+    # T_2 overflows, so every term of states 3 and 4 that reads it is infinite
+    t = Timing(T_p=1e307, T_ack=0.0, T_w=0.0)
+    res = optimal_policy(_sys(M=4, Pe=0.9), t)
+    assert res.profile.T[2] == math.inf
+    assert res.search_counts[2].estimated > 0 and res.search_counts[3].estimated > 0
+    N, T = _bounded_scalar_search(4, 0.9, 0.0, t.T_p, t.T_w)
+    assert res.policy.N == N
+    assert res.profile.T == T
+    _assert_first_excluded(res, 0.0, t)
+
+
 @pytest.mark.parametrize("pe", [0.3, 0.9, 0.999, 1 - 1e-6])
 def test_estimates_are_within_1e_12_of_the_scalar_routine(pe):
-    # Near Pe = 1, 1 - Pe**N cancels; the estimates share the scalar routine's power
+    # Near Pe = 1, 1 - Pe**N cancels; the table shares the scalar routine's power.
+    # One table serves every state, its window moving up and back down, under the
+    # search's own error state (its unread entries may overflow).
     top = 10**4
-    powers = np.array([pe**m for m in range(top + 1)])
-    log_fact = np.array([math.lgamma(m + 1) for m in range(top + 1)])
+    terms = optimizer._Terms(41, pe, 0.05, 1e-3, 0.4)
     for i in (1, 2, 7, 23, 40):
         T = [0.0] + [j * (1.0 + 0.37 * math.sin(j)) for j in range(1, i)]
         for n0, n1 in ((i, i + 60), (top - 59, top + 1)):
-            est = optimizer._estimates(i, n0, n1, T, pe, 0.05, 1e-3, 0.4, powers, log_fact)
+            with np.errstate(all="ignore"):
+                est = terms.estimates(i, n0, n1, T)
             exact = np.array([state_completion_time(i, n, T, pe, 0.05, 1e-3, 0.4)
                               for n in range(n0, n1)])
             assert np.all(np.abs(est - exact) <= 1e-12 * exact), (i, n0)
@@ -268,6 +294,13 @@ def test_continuous_optimum_brackets_minimizer_where_the_branch_argument_underfl
     x = continuous_optimum_N1(_sys(Pe=pe), Timing(1.0, ratio / 2, ratio))
     assert _brute_minimizer_n1(pe, ratio, 200) == optimum
     assert optimum in (math.floor(x), math.ceil(x))
+
+
+@pytest.mark.parametrize("ratio, optimum", [(1e12, 39.33437076576228), (1e16, 52.62208314525291)])
+def test_continuous_optimum_keeps_its_digits_at_long_waits(ratio, optimum):
+    # (1 + W)/ln(Pe) - T_w/T_p cancels here: it gave 39.33447265625 and 52.0
+    x = continuous_optimum_N1(_sys(Pe=0.5), Timing(1.0, ratio / 2, ratio))
+    assert x == pytest.approx(optimum, rel=1e-12)
 
 
 def test_continuous_optimum_rejects_zero_erasure():
