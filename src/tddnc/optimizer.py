@@ -99,7 +99,10 @@ class _Terms:
         self.pmf = self.buffer.reshape(0, 0)   # a view of `buffer`
 
     def estimates(self, i, n, end, T):
-        """`state_completion_time(i, N, T, ...)` for n <= N < end; (i - 1)(end - n) <= _TABLE_ENTRIES."""
+        """`state_completion_time(i, N, T, ...)` for n <= N < end.
+
+        The caller keeps (i - 1)(end - n) within _TABLE_ENTRIES.
+        """
         rows, width = self.pmf.shape
         if i > rows + 1 or not self.lo <= n < end <= self.lo + width:
             self._refill(i, n, end)
@@ -126,7 +129,8 @@ class _Terms:
         return self.rounds[n:end] + acc / self.progress[n:end]
 
     def _refill(self, i, n, end):
-        """Fill the window from N = n for state i and, at its range's first block, the later states that fit."""
+        """Fill the window from N = n for state i and, at the first block of its
+        range, for the later states that fit."""
         last, top = i, self.M if n == i else i
         while last < top:   # bisect for the last state s whose terms fit
             mid = (last + top + 1) // 2
