@@ -70,7 +70,7 @@ class _Terms:
     a burst of N, rows of descending k, so that state i reads its
     candidates' terms as the last i - 1 rows of their columns.
 
-    The window holds at most _TABLE_ENTRIES terms.  A request that it does
+    The window holds at most _TABLE_ENTRIES = 7 * 2**14 terms.  A request that it does
     not cover refills it from the request's first N for the later states as
     well, as many as fit: their ranges are taken to grow in proportion to i,
     so state s needs s - 1 rows and the columns up to about end*s/i.  A
