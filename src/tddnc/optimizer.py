@@ -17,7 +17,6 @@ from .markov import (
 from .params import BitChannel, SystemParams, Timing, as_int, derive_timing, with_bit_channel
 
 _TABLE_ENTRIES = 7 << 14
-_PRODUCT_ENTRIES = 1 << 14
 _RESCORE_REL = 1e-10
 _SCAN_TERMS = 32  # an estimate costs about as much as this many scalar binomial terms
 
@@ -76,14 +75,17 @@ class _Terms:
     so state s needs s - 1 rows and the columns up to about end*s/i.  A
     range too wide for one window is walked in blocks, each filled for its
     state alone.  So a term is computed once for all the states a window
-    serves, not once per state.  The window and the products buffer of a
-    wide estimate hold at most 2**17 floats together, 1 MB.
+    serves, not once per state.  The window is the search's only buffer of
+    terms, at most 7 * 2**14 floats (0.9 MB); a refill frees it first.
 
-    A pmf term keeps the scalar routine's operands in their order, so only
-    np.exp differs from math.exp, by an ulp or so; the terms are positive,
-    and a state sums its rows in the scalar loop's order, so an estimate is
-    within a few ulps of the scalar value.  The tests hold the estimates to
-    1e-12 relative, 100x inside the re-score window.
+    A pmf term keeps the scalar routine's operands in their order, so np.exp
+    differs from math.exp by an ulp or so.  A state sums its rows with one
+    matrix-vector product, in BLAS's order rather than the scalar loop's;
+    the terms are positive, so any order is within about i * 2**-53 relative
+    of the scalar sum.  An estimate spans at least two N in at most
+    _TABLE_ENTRIES terms, so only states i <= 57345 are estimated and this
+    stays below 7e-12, inside the 1e-10 re-score window.  The tests hold the
+    estimates to 1e-12 relative up to i = 500.
     """
 
     def __init__(self, M, Pe, Pa, T_p, T_w):
@@ -95,38 +97,20 @@ class _Terms:
         # log_fact[M + m] = lgamma(m + 1); the M entries below pad the unread
         # terms k >= N of a row, so that every read stays inside the array
         self.log_fact = np.zeros(M)
-        self.lo, self.buffer, self.products = 0, np.empty(0), np.empty(_PRODUCT_ENTRIES)
-        self.pmf = self.buffer.reshape(0, 0)   # a view of `buffer`
+        self.lo, self.pmf = 0, np.empty((0, 0))
 
     def estimates(self, i, n, end, T):
         """`state_completion_time(i, N, T, ...)` for n <= N < end.
 
-        The caller keeps (i - 1)(end - n) within _TABLE_ENTRIES.
+        The caller keeps (i - 1)(end - n) within _TABLE_ENTRIES.  The sum over
+        the lower states is one matrix-vector product, in BLAS's order.
         """
         rows, width = self.pmf.shape
         if i > rows + 1 or not self.lo <= n < end <= self.lo + width:
             self._refill(i, n, end)
             rows = self.pmf.shape[0]
         pmf = self.pmf[rows - i + 1:, n - self.lo:end - self.lo]
-        weights = np.array(T[1:i])[:, None]
-        # a sum over the outer axis adds the rows one by one, in the scalar loop's
-        # order (numpy sums pairwise only along the contiguous axis)
-        if pmf.size <= _PRODUCT_ENTRIES:
-            acc = (pmf * weights).sum(axis=0)
-        else:
-            # tiles of the products buffer whose first row carries the sums so far
-            acc, width = np.zeros(end - n), min(end - n, _PRODUCT_ENTRIES // 2)
-            step = _PRODUCT_ENTRIES // width - 1
-            tiles = self.products[:(step + 1) * width].reshape(step + 1, width)
-            for c in range(0, end - n, width):
-                sums = acc[c:c + width]
-                for r in range(0, i - 1, step):
-                    part = pmf[r:r + step, c:c + width]
-                    tile = tiles[:len(part) + 1, :sums.size]
-                    tile[0] = sums
-                    np.multiply(part, weights[r:r + step], out=tile[1:])
-                    np.add.reduce(tile, axis=0, out=sums)
-        return self.rounds[n:end] + acc / self.progress[n:end]
+        return self.rounds[n:end] + np.array(T[1:i]) @ pmf / self.progress[n:end]
 
     def _refill(self, i, n, end):
         """Fill the window from N = n for state i and, at the first block of its
@@ -140,11 +124,8 @@ class _Terms:
                 top = mid - 1
         rows, cols = last - 1, -(-end * last // i) - n
         self._grow(n + cols)
-        if self.buffer.size < rows * cols:
-            size = max(rows * cols, min(2 * self.buffer.size, _TABLE_ENTRIES))
-            self.pmf = self.buffer = None   # freed before its successor is allocated
-            self.buffer = np.empty(size)
-        self.pmf = pmf = self.buffer[:rows * cols].reshape(rows, cols)
+        self.pmf = None   # freed before its successor is allocated
+        self.pmf = pmf = np.empty((rows, cols))
         self.lo = n
         if not rows:
             return
@@ -239,7 +220,9 @@ def optimal_policy(sys: SystemParams, timing: Timing) -> OptimalPolicyResult:
     `state_completion_time`.  A longer one is estimated at once from a
     table of the terms that the search's states share (`_Terms`), which
     holds at most 7 * 2**14 binomial terms; a range wider than that for its
-    state's rows is estimated in blocks.  Every candidate within 1e-10
+    state's rows is estimated in blocks.  An estimate sums its terms with
+    one matrix-vector product, in BLAS's order, so it is within about
+    i * 2**-53 relative of the scalar value.  Every candidate within 1e-10
     relative of a block's minimum estimate is re-scored with the scalar
     routine, and the winner and its T_i come from those scalar values, so
     policies and profiles are exactly those of a scalar search.  The seed,

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,17 +172,37 @@ def test_estimates_past_an_infinite_lower_time_equal_bounded_scalar_search():
 def test_estimates_are_within_1e_12_of_the_scalar_routine(pe):
     # Near Pe = 1, 1 - Pe**N cancels; the table shares the scalar routine's power.
     # One table serves every state, its window moving up and back down, under the
-    # search's own error state (its unread entries may overflow).
+    # search's own error state (its unread entries may overflow).  The long sums
+    # of i = 120..500 run in BLAS's order, not the scalar loop's.
     top = 10**4
-    terms = optimizer._Terms(41, pe, 0.05, 1e-3, 0.4)
-    for i in (1, 2, 7, 23, 40):
+    terms = optimizer._Terms(501, pe, 0.05, 1e-3, 0.4)
+    for i in (1, 2, 7, 23, 40, 120, 300, 500):
         T = [0.0] + [j * (1.0 + 0.37 * math.sin(j)) for j in range(1, i)]
         for n0, n1 in ((i, i + 60), (top - 59, top + 1)):
             with np.errstate(all="ignore"):
                 est = terms.estimates(i, n0, n1, T)
+            assert terms.pmf.size <= optimizer._TABLE_ENTRIES
             exact = np.array([state_completion_time(i, n, T, pe, 0.05, 1e-3, 0.4)
                               for n in range(n0, n1)])
             assert np.all(np.abs(est - exact) <= 1e-12 * exact), (i, n0)
+
+
+def test_one_blas_thread_gives_the_same_search():
+    # M=200 at Pe=0.8 estimates blocks of up to 7 * 2**14 window entries, which a
+    # threaded gemv may split differently from a single thread; the variable does
+    # nothing under a BLAS other than OpenBLAS
+    spec = dict(M=200, n=10000, g=8, h=80, n_ack=100, R=1.5e6, T_rt=0.25, Pe=0.8, Pe_ack=0.001)
+    code = ("from tddnc.optimizer import optimal_policy; "
+            "from tddnc.params import SystemParams, derive_timing; "
+            f"s = SystemParams(**{spec!r}); r = optimal_policy(s, derive_timing(s)); "
+            "print(repr((r.policy.N, r.profile.T, r.search_bounds_used, r.search_counts)))")
+    src = Path(optimizer.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+    s = SystemParams(**spec)
+    r = optimal_policy(s, derive_timing(s))
+    assert out.stdout.strip() == repr((r.policy.N, r.profile.T, r.search_bounds_used,
+                                       r.search_counts))
 
 
 def test_search_counts_account_for_every_scalar_call(monkeypatch):
