@@ -76,7 +76,7 @@ class _Terms:
     range too wide for one window is walked in blocks, each filled for its
     state alone.  So a term is computed once for all the states a window
     serves, not once per state.  The window is the search's only buffer of
-    terms, at most 7 * 2**14 floats (0.9 MB); a refill frees it first.
+    terms (0.9 MB at most); a refill frees it before allocating the next.
 
     A pmf term keeps the scalar routine's operands in their order, so np.exp
     differs from math.exp by an ulp or so.  A state sums its rows with one
