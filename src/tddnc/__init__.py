@@ -32,6 +32,6 @@ from .params import (
     with_bit_channel,
 )
 from .rlnc import Decoder, GaloisField, encode
-from .simulator import SimConfig, SimResult, run_records, simulate, summarize
+from .simulator import SimConfig, SimResult, histogram, run_records, simulate, summarize
 
 __version__ = "0.1.0"

@@ -157,20 +157,22 @@ class _Terms:
 def _live_end(n, stop, best_t, Pa, T_p, T_w):
     """First N in [n, stop) whose bound (N*T_p + T_w)/(1 - Pa) is not below `best_t`, else `stop`.
 
-    The bound grows with N, so a galloping search finds it in O(log) steps;
-    a NaN `best_t` leaves no N live.
+    The bound does not decrease in N, even in floating point: the answer is the root
+    (best_t(1 - Pa) - T_w)/T_p rounded up and clipped to [n, stop], or, where rounding
+    moved it, found by bisection beside it.  A NaN `best_t` leaves no N live.
     """
-    lo = hi = n
-    step = 1
-    while hi < stop and (hi * T_p + T_w) / (1.0 - Pa) < best_t:
-        lo, hi, step = hi + 1, hi + step, 2 * step
-    hi = min(hi, stop)
+    def live(m):
+        return (m * T_p + T_w) / (1.0 - Pa) < best_t
+
+    root = (best_t * (1.0 - Pa) - T_w) / T_p
+    lo = hi = n if not root > n else max(n, stop) if not root < stop else math.ceil(root)
+    if lo < stop and live(lo):
+        lo, hi = lo + 1, stop
+    elif lo > n and not live(lo - 1):
+        lo, hi = n, lo - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if (mid * T_p + T_w) / (1.0 - Pa) < best_t:
-            lo = mid + 1
-        else:
-            hi = mid
+        lo, hi = (mid + 1, hi) if live(mid) else (lo, mid)
     return lo
 
 

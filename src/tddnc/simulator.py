@@ -73,12 +73,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Completion statistics over all runs; histogram buckets are T_p wide."""
+    """Completion statistics over all runs: what a `simulate` row reports."""
 
     mean_completion: float
     stderr: float
-    histogram: tuple[tuple[int, int], ...]
-    bucket_width: float
     mean_packets_sent: float
     mean_stops: float
     runs: int
@@ -108,7 +106,7 @@ def _arrival_cdf(N, Pe: float, most: int) -> np.ndarray:
                 rows[:, 1:] = np.log(np.maximum(n - k[:-1], 0.0) / k[1:]) + log_odds
             np.exp(np.cumsum(rows, axis=1, out=rows), out=rows)
             np.cumsum(rows, axis=1, out=rows)
-    cdf[k >= np.minimum(N, most)] = np.inf
+    cdf[k >= N] = np.inf   # k < most, so this is k >= min(N, most)
     return cdf
 
 
@@ -136,33 +134,33 @@ def run_records(
     """Per-run records, shape (runs, 3): completion seconds, packets sent, stops."""
     if policy.M != sys.M:
         raise ValueError("policy length must equal the block size M")
-    M, runs, Pa, T_p, T_w = sys.M, cfg.runs, sys.Pe_ack, timing.T_p, timing.T_w
+    M, runs, Pa = sys.M, cfg.runs, sys.Pe_ack
     rng = np.random.default_rng(cfg.master_seed)
     thresholds, most = None, M
     if cfg.mode == "rlnc":
         thresholds = _rank_thresholds(rng, runs, M, cfg.field_g)
         most = int(thresholds[:, -1].max())
-    sizes, size_of = np.unique(np.array(policy.N, dtype=np.int64), return_inverse=True)
-    round_time = sizes * T_p + T_w
-    cdf = _arrival_cdf(sizes, sys.Pe, most)
-    records = np.empty((runs, 3), dtype=np.float64)
-    # the unfinished runs' state, compacted as runs finish
-    run = np.arange(runs)
-    belief = np.full(runs, M, dtype=np.int64)
-    credited = np.zeros(runs, dtype=np.int64)
-    elapsed = np.zeros(runs)
-    sent = np.zeros(runs)   # float64 like the records: an int64 count wraps past 2^63
-    stops = 0
-    while run.size:
-        burst, ack = rng.random((2, runs))[:, run]
-        stops += 1
-        size = size_of[belief - 1]   # a live run's belief is >= 1; equal sizes share a row
-        elapsed += round_time[size]
-        sent += sizes[size]
-        arrivals = np.empty(run.size, dtype=np.int64)
-        for s in np.flatnonzero(np.bincount(size)).tolist():
+    sizes = sorted(set(policy.N))
+    size_of = np.array([0, *map({n: s for s, n in enumerate(sizes)}.__getitem__, policy.N)])
+    n = np.array(sizes, dtype=np.float64)
+    cost = np.array((n * timing.T_p + timing.T_w, n, np.ones_like(n)))   # a round's record by size
+    cdf = _arrival_cdf(n, sys.Pe, most)
+    records = np.empty((runs, 3))
+    # the unfinished runs' state, compacted as runs finish: run, belief and credited
+    # arrivals; their records so far in float64 (an int64 count wraps past 2^63)
+    state = np.zeros((3, runs), dtype=np.int64)
+    state[0], state[1] = np.arange(runs), M
+    spent = np.zeros((3, runs))
+    while state.shape[1]:
+        run, belief, credited = state
+        burst, ack = rng.random((2, runs)).take(run, axis=1)
+        size = size_of[belief]
+        spent += cost.take(size, axis=1)
+        first, *rest = np.bincount(size).nonzero()[0].tolist()
+        arrivals = cdf[first].searchsorted(burst, side="right")   # then the other sizes' runs
+        for s in rest:
             mine = size == s
-            arrivals[mine] = np.searchsorted(cdf[s], burst[mine], side="right")
+            arrivals[mine] = cdf[s].searchsorted(burst[mine], side="right")
         heard = ack >= Pa
         if cfg.mode == "chain":   # a burst is credited only when its ACK is heard
             arrivals[~heard] = 0
@@ -170,39 +168,39 @@ def run_records(
         if thresholds is None:
             deficit = np.maximum(M - credited, 0)
         else:
-            deficit = M - (thresholds <= credited[:, None]).sum(axis=1)
-        belief = np.where(heard, deficit, belief)
-        done = heard & (deficit == 0)
+            deficit = (thresholds > credited[:, None]).sum(axis=1)   # the ranks not yet reached
+        np.copyto(belief, deficit, where=heard)
+        done = belief == 0
         if done.any():
-            records[run[done]] = np.column_stack((elapsed[done], sent[done],
-                                                  np.full(done.sum(), stops)))
+            records[run[done]] = spent.compress(done, axis=1).T
             left = ~done
-            run, belief, credited, elapsed, sent = (
-                a[left] for a in (run, belief, credited, elapsed, sent))
+            state, spent = state.compress(left, axis=1), spent.compress(left, axis=1)
             if thresholds is not None:
-                thresholds = thresholds[left]
+                thresholds = thresholds.compress(left, axis=0)
     return records
 
 
 def summarize(records: np.ndarray, timing: Timing) -> SimResult:
-    """Mean, standard error, T_p-wide histogram, and packet/stop averages."""
+    """Mean and standard error of the completion time, and mean packets and stops.
+
+    The standard error repeats np.std(ddof=1)'s steps from the one mean, so
+    its bits are np.std's.  `timing` is not read.
+    """
     records = np.asarray(records, dtype=np.float64)
     if records.ndim != 2 or records.shape[0] < 1 or records.shape[1] != 3:
         raise ValueError("records must be a non-empty (runs, 3) array")
-    times = records[:, 0]
-    runs = records.shape[0]
-    stderr = float(np.std(times, ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
+    times, runs = records[:, 0], records.shape[0]
+    mean = times.sum() / runs
+    var = np.square(times - mean).sum() / (runs - 1) if runs > 1 else 0.0
+    return SimResult(float(mean), float(np.sqrt(var) / math.sqrt(runs)),
+                     float(records[:, 1].sum() / runs), float(records[:, 2].sum() / runs), runs)
+
+
+def histogram(records: np.ndarray, timing: Timing) -> tuple[tuple[int, int], ...]:
+    """(k, runs) for each k with runs completing in [k T_p, (k + 1) T_p), in increasing k."""
     # floor stays float: int64 would wrap past 2^63, int() does not
-    values, counts = np.unique(np.floor(times / timing.T_p), return_counts=True)
-    return SimResult(
-        mean_completion=float(times.mean()),
-        stderr=stderr,
-        histogram=tuple((int(v), int(c)) for v, c in zip(values, counts)),
-        bucket_width=timing.T_p,
-        mean_packets_sent=float(records[:, 1].mean()),
-        mean_stops=float(records[:, 2].mean()),
-        runs=runs,
-    )
+    buckets = np.floor(np.asarray(records, dtype=np.float64)[:, 0] / timing.T_p)
+    return tuple((int(v), int(c)) for v, c in zip(*np.unique(buckets, return_counts=True)))
 
 
 def simulate(

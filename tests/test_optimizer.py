@@ -116,6 +116,38 @@ def _assert_first_excluded(res, pe_ack, t):
         assert bound == n_i + 1 or reach(bound - 1) < t_i
 
 
+def _live_end_by_scan(n, stop, best_t, Pa, T_p, T_w):
+    while n < stop and (n * T_p + T_w) / (1.0 - Pa) < best_t:
+        n += 1
+    return n
+
+
+def test_live_end_equals_a_linear_scan():
+    # the closed-form start must land on the scan's N wherever rounding
+    # moves the root: NaN and inf times, clipped ranges, Pe_ack near 1 and
+    # burst sizes near 2**53, where consecutive N share one bound
+    rng = np.random.default_rng(23)
+    cases = [(1, 10, math.nan, 0.0, 1.0, 0.0), (1, 10, math.inf, 0.0, 1.0, 0.0),
+             (5, 5, 3.0, 0.0, 1.0, 0.0), (9, 4, 100.0, 0.0, 1.0, 0.0),
+             (1, 50, 7.0, 0.0, 1.0, 0.0), (3, 50, 2.0, 0.0, 1.0, 0.0),
+             (1, 40, 1e300, 0.0, 1.0, 0.0), (1, 40, 5.0, 0.0, 1e-300, 1.0),
+             (2**53 - 20, 2**53 + 40, float(2**53 + 4), 0.0, 1.0, 0.0),
+             (2**54 - 30, 2**54 + 30, float(2**54 + 8), 0.0, 1.0, 0.0),
+             (2**53 - 9, 2**53 + 9, math.inf, 0.0, 1.0, 0.0)]
+    for _ in range(3000):
+        n = int(rng.integers(1, 2**int(rng.integers(1, 54))))
+        stop = n + int(rng.integers(0, 300))
+        T_p = 10.0 ** rng.uniform(-8, 3)
+        T_w = float(rng.choice([0.0, 10.0 ** rng.uniform(-6, 6)]))
+        Pa = float(rng.choice([0.0, rng.uniform(0, 0.999), 1 - 10.0 ** -rng.uniform(6, 15)]))
+        N = n + int(rng.integers(-5, 400))
+        best_t = (N * T_p + T_w) / (1.0 - Pa) * float(rng.choice([1.0, 1 + 1e-16, 1 - 1e-16,
+                                                                   rng.uniform(0.99, 1.01)]))
+        cases.append((n, stop, best_t, Pa, T_p, T_w))
+    for case in cases:
+        assert optimizer._live_end(*case) == _live_end_by_scan(*case), case
+
+
 @pytest.mark.parametrize("M, pe, pe_ack, T_p, T_w", [
     (5, 1e-17, 0.0, 1e-20, 1.0),   # a tie plateau: N_i = i, bounds i + 1
     (3, 0.5, 0.0, 1e-20, 1.0),     # the first seed, 66, lies past the plateau it ties

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import os
 import subprocess
@@ -20,6 +21,7 @@ from tddnc.simulator import (
     SimConfig,
     _arrival_cdf,
     _rank_thresholds,
+    histogram,
     run_records,
     simulate,
     summarize,
@@ -158,6 +160,70 @@ def test_records_match_pinned_hashes(mode, g):
     assert hashlib.sha256(rec.tobytes()).hexdigest() == RECORD_SHA256[mode, g]
 
 
+def _reference_records(policy, sys, timing, cfg):
+    """run_records one run at a time, from the same stream and CDF rows.
+
+    The rlnc rank waits come first, then one rng.random((2, runs)) per
+    round: row 0 draws the bursts, row 1 the ACKs.  Each unfinished run's
+    arrivals are a bisect of its burst uniform on its size's CDF row.
+    """
+    M, runs = sys.M, cfg.runs
+    rng = np.random.default_rng(cfg.master_seed)
+    thresholds, most = None, M
+    if cfg.mode == "rlnc":
+        thresholds = _rank_thresholds(rng, runs, M, cfg.field_g).tolist()
+        most = int(max(row[-1] for row in thresholds))
+    sizes = sorted(set(policy.N))
+    cdf = dict(zip(sizes, _arrival_cdf(sizes, sys.Pe, most).tolist()))
+    belief, credited, elapsed, sent = [M] * runs, [0] * runs, [0.0] * runs, [0.0] * runs
+    records = [None] * runs
+    stops = 0
+    while None in records:
+        bursts, acks = rng.random((2, runs)).tolist()
+        stops += 1
+        for r in range(runs):
+            if records[r] is not None:
+                continue
+            N = policy.N[belief[r] - 1]
+            elapsed[r] += N * timing.T_p + timing.T_w
+            sent[r] += N
+            heard = acks[r] >= sys.Pe_ack
+            if heard or cfg.mode != "chain":
+                credited[r] += bisect.bisect_right(cdf[N], bursts[r])
+            if thresholds is None:
+                deficit = max(M - credited[r], 0)
+            else:
+                deficit = M - bisect.bisect_right(thresholds[r], credited[r])
+            if heard:
+                belief[r] = deficit
+                if deficit == 0:
+                    records[r] = (elapsed[r], sent[r], stops)
+    return np.array(records, dtype=np.float64)
+
+
+@pytest.mark.parametrize("mode, g, M, Pe, Pe_ack, runs", [
+    ("chain", None, 6, 0.4, 0.3, 300),
+    ("physical", None, 6, 0.4, 0.3, 300),
+    ("rlnc", 1, 6, 0.4, 0.3, 300),
+    ("rlnc", 8, 6, 0.4, 0.3, 300),
+    ("chain", None, 6, 0.4, 0.3, 1),
+    ("physical", None, 6, 0.0, 0.5, 200),
+    ("rlnc", 1, 6, 0.0, 0.5, 200),
+    ("rlnc", 8, 6, 0.7, 0.1, 1),
+    ("rlnc", 8, 6, 0.0, 0.0, 50),
+])
+def test_records_equal_a_per_run_reference(mode, g, M, Pe, Pe_ack, runs):
+    sys = _sys(M=M, Pe=Pe, Pe_ack=Pe_ack)
+    t = derive_timing(sys)
+    policy = Policy((2, 2, 3, 5, 8, 9))   # four burst sizes, one shared by two beliefs
+    cfg = SimConfig(mode=mode, runs=runs, master_seed=20260, field_g=g)
+    rec = run_records(policy, sys, t, cfg)
+    ref = _reference_records(policy, sys, t, cfg)
+    assert rec.tobytes() == ref.tobytes()
+    if runs > 1 and (Pe, Pe_ack) != (0.0, 0.0):
+        assert len(set(ref[:, 2])) > 2   # runs finish in several rounds
+
+
 @pytest.mark.parametrize("mode", ["chain", "physical"])
 def test_erasure_modes_ignore_the_field(mode):
     # only the mode decides whether a run decodes: a field set on a chain or
@@ -181,8 +247,8 @@ def test_summarize_single_and_tied_runs():
 def test_summarize_keeps_histogram_keys_past_2_63():
     # bucket keys are whole multiples of T_p beyond int64's range
     t = Timing(T_p=1.0, T_ack=0.1, T_w=2.0)
-    r = summarize(np.array([[1e19, 2**53, 1], [2.5e19, 2**53, 2], [1e19, 2**53, 1]]), t)
-    assert r.histogram == ((10**19, 2), (25 * 10**18, 1))
+    h = histogram(np.array([[1e19, 2**53, 1], [2.5e19, 2**53, 2], [1e19, 2**53, 1]]), t)
+    assert h == ((10**19, 2), (25 * 10**18, 1))
 
 
 def test_packets_sent_count_exactly_past_2_63():
@@ -197,12 +263,13 @@ def test_packets_sent_count_exactly_past_2_63():
 
 def test_summarize_spread():
     t = Timing(T_p=1.0, T_ack=0.1, T_w=2.0)
-    r = summarize(np.array([[1.0, 2, 1], [3.0, 4, 2]]), t)
+    records = np.array([[1.0, 2, 1], [3.0, 4, 2]])
+    r = summarize(records, t)
     assert r.mean_completion == 2.0
     assert r.stderr == pytest.approx(1.0, rel=1e-12)
     assert r.mean_packets_sent == 3.0
     assert r.mean_stops == 1.5
-    assert r.histogram == ((1, 1), (3, 1))
+    assert histogram(records, t) == ((1, 1), (3, 1))
 
 
 def test_config_validation():
@@ -253,9 +320,12 @@ def test_histogram_counts_runs():
     sys = _sys(M=3, Pe=0.4)
     t = derive_timing(sys)
     res = optimal_policy(sys, t)
-    r = simulate(res.policy, sys, t, SimConfig(mode="chain", runs=600, master_seed=2))
-    assert sum(c for _, c in r.histogram) == 600
-    assert r.bucket_width == t.T_p
+    records = run_records(res.policy, sys, t, SimConfig(mode="chain", runs=600, master_seed=2))
+    h = histogram(records, t)
+    assert sum(c for _, c in h) == 600
+    # buckets are T_p wide: bucket k counts the runs that finish in [k T_p, (k + 1) T_p)
+    widths = records[:, 0] / t.T_p
+    assert all(c == ((k <= widths) & (widths < k + 1)).sum() for k, c in h)
 
 
 def test_analytic_profile_matches_simulated_intermediate_starts():
