@@ -154,7 +154,7 @@ def run_records(
     while state.shape[1]:
         run, belief, credited = state
         burst, ack = rng.random((2, runs)).take(run, axis=1)
-        size = size_of[belief]
+        size = size_of[belief]   # row 0 pads belief 0, which no live run holds
         spent += cost.take(size, axis=1)
         first, *rest = np.bincount(size).nonzero()[0].tolist()
         arrivals = cdf[first].searchsorted(burst, side="right")   # then the other sizes' runs

@@ -133,7 +133,8 @@ def test_live_end_equals_a_linear_scan():
              (1, 40, 1e300, 0.0, 1.0, 0.0), (1, 40, 5.0, 0.0, 1e-300, 1.0),
              (2**53 - 20, 2**53 + 40, float(2**53 + 4), 0.0, 1.0, 0.0),
              (2**54 - 30, 2**54 + 30, float(2**54 + 8), 0.0, 1.0, 0.0),
-             (2**53 - 9, 2**53 + 9, math.inf, 0.0, 1.0, 0.0)]
+             (2**53 - 9, 2**53 + 9, math.inf, 0.0, 1.0, 0.0),
+             (1, 7 << 14, 1.0 + 2**-52, 0.0, 1e-20, 1.0)]   # a plateau: the root is 11 102 off
     for _ in range(3000):
         n = int(rng.integers(1, 2**int(rng.integers(1, 54))))
         stop = n + int(rng.integers(0, 300))
