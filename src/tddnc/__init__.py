@@ -9,18 +9,15 @@ from .markov import (
     fixed_window_policy,
     full_duplex_completion,
     sw_mean_throughput,
-    transition_prob,
 )
 from .optimizer import (
     OptimalPolicyResult,
-    ThroughputPoint,
     continuous_optimum_N1,
     eta,
     eta_gbn,
     eta_sr,
     lambert_w_minus1,
     optimal_policy,
-    optimize_joint,
 )
 from .params import (
     BitChannel,

@@ -72,54 +72,6 @@ def _binom_pmf(k: int, n: int, p: float) -> float:
     return math.exp(_log_comb(n, k) + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
-def _binom_tail(k: int, n: int, p: float) -> float:
-    """P[Binomial(n, p) >= k], summed only over the terms that count.
-
-    Past the mean the pmf only shrinks, so for k > n*p the terms from k up
-    are added until one no longer changes the sum: every later term is
-    smaller, and the result equals the left-to-right sum of all n - k + 1
-    terms bit for bit.  For k <= n*p the tail is at least 1/2, so it is
-    1 - P[X < k], with that lower sum taken the same way from k - 1 down.
-    """
-    if k > n * p:
-        return _shrinking_sum(range(k, n + 1), n, p)
-    return 1.0 - _shrinking_sum(range(k - 1, -1, -1), n, p)
-
-
-def _shrinking_sum(ks, n: int, p: float) -> float:
-    """Sum of the pmf over `ks`, whose terms shrink, up to the first term that adds nothing."""
-    acc = 0.0
-    for k in ks:
-        t = _binom_pmf(k, n, p)
-        if acc + t == acc:
-            break
-        acc += t
-    return acc
-
-
-def transition_prob(i: int, j: int, N_i: int, Pe: float, Pe_ack: float) -> float:
-    """One-round transition probability of the deficit chain, state i to state j.
-
-    j < i requires exactly i-j of the N_i packets to arrive (and the ACK);
-    j = 0 collects every outcome with i or more arrivals; j = i covers a
-    fully erased burst or a lost ACK.  Rows sum to one for any N_i >= 1:
-    the binomial coefficient is taken as zero outside 0 <= i-j <= N_i, so
-    state 0 is reachable in one round only when N_i >= i.
-    """
-    i, j, N_i = as_int(i, "i"), as_int(j, "j"), as_int(N_i, "N_i")
-    if i < 1 or j < 0 or j > i:
-        raise ValueError("states must satisfy 0 <= j <= i, i >= 1")
-    if N_i < 1:
-        raise ValueError("N_i must be >= 1")
-    if not (0.0 <= Pe < 1.0 and 0.0 <= Pe_ack < 1.0):
-        raise ValueError("erasure probabilities must lie in [0, 1)")
-    if j == i:
-        return (1.0 - Pe_ack) * Pe**N_i + Pe_ack
-    if j == 0:
-        return (1.0 - Pe_ack) * _binom_tail(i, N_i, 1.0 - Pe)
-    return (1.0 - Pe_ack) * _binom_pmf(i - j, N_i, 1.0 - Pe)
-
-
 def expected_extra_receptions(M: int, q: int) -> float:
     """Expected packets the receiver must capture before holding M independent
     combinations, when coefficients are drawn uniformly from a field of size q.
@@ -208,15 +160,17 @@ def sw_mean_throughput(N_1: int, sys: SystemParams, timing: Timing) -> float:
     """Mean throughput (bits/second) of the single-packet block, M = 1.
 
     The round count is geometric, so E[1/T] has the closed form
-    -p0*ln(p0) / (p1 * round) with p0 the per-round completion probability
-    and round = N_1*T_p + T_w.  At p1 = 0 the deterministic limit n/round
-    applies.
+    -p0*ln(p0) / (p1 * round) with round = N_1*T_p + T_w and p0 the
+    per-round completion probability (1 - Pe_ack)(1 - Pe**N_1), the chain's
+    own term in `state_completion_time`; p0 > 0, as Pe, Pe_ack < 1.  At
+    p1 = 1 - p0 = 0 the deterministic limit n/round applies.
     """
     if sys.M != 1:
         raise ValueError("mean throughput closed form requires M = 1")
-    p_done = transition_prob(1, 0, N_1, sys.Pe, sys.Pe_ack)
-    if p_done <= 0.0:
-        raise ValueError("completion probability per round is zero")
+    N_1 = as_int(N_1, "N_1")
+    if N_1 < 1:
+        raise ValueError("N_1 must be >= 1")
+    p_done = (1.0 - sys.Pe_ack) * (1.0 - sys.Pe**N_1)
     round_time = N_1 * timing.T_p + timing.T_w
     p_stay = 1.0 - p_done
     if p_stay == 0.0:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -14,7 +14,7 @@ from .markov import (
     expected_completion,
     state_completion_time,
 )
-from .params import BitChannel, SystemParams, Timing, as_int, derive_timing, with_bit_channel
+from .params import SystemParams, Timing, as_int, derive_timing
 
 _TABLE_ENTRIES = 7 << 14
 _RESCORE_REL = 1e-10
@@ -47,16 +47,6 @@ class OptimalPolicyResult:
     profile: CompletionProfile
     search_bounds_used: tuple[int, ...]
     search_counts: tuple[SearchCounts, ...]
-
-
-@dataclass(frozen=True)
-class ThroughputPoint:
-    """One evaluated (n, M) cell: the block throughput and the policy achieving it."""
-
-    n: int
-    M: int
-    eta: float
-    policy: Policy
 
 
 class _Terms:
@@ -351,16 +341,13 @@ def continuous_optimum_N1(sys: SystemParams, timing: Timing) -> float:
     return _real_N1(sys.Pe, timing.T_p, timing.T_w)
 
 
-def _block_eta(sys: SystemParams, profile: CompletionProfile) -> float:
-    """M*n / T_M of `profile`; a non-finite profile raises ValueError."""
+def eta(sys: SystemParams, timing: Timing, policy: Policy) -> float:
+    """Block throughput M*n / T_M in bits/second for the given policy; a
+    profile that is not finite raises ValueError."""
+    profile = expected_completion(policy, sys, timing)
     if not profile.finite:
         raise ValueError("completion time is not finite under this policy")
     return sys.M * sys.n / profile.T_M
-
-
-def eta(sys: SystemParams, timing: Timing, policy: Policy) -> float:
-    """Block throughput M*n / T_M in bits/second for the given policy."""
-    return _block_eta(sys, expected_completion(policy, sys, timing))
 
 
 def _arq_cycle(sys: SystemParams, W: int) -> float:
@@ -386,26 +373,3 @@ def eta_sr(sys: SystemParams, W: int) -> float:
     """Half-duplex Selective Repeat throughput: W*n*(1-Pe) / (W*(h+n)/R + T_w)."""
     cycle = _arq_cycle(sys, W)
     return W * sys.n * (1.0 - sys.Pe) / cycle
-
-
-def optimize_joint(sys: SystemParams, bc: BitChannel, n_range, M_range) -> ThroughputPoint:
-    """Exhaustive maximization of eta over the (M, n) grid; each cell re-optimizes the policy.
-
-    A one-element range fixes that axis: `[sys.M]` searches packet sizes
-    alone, `[sys.n]` block sizes alone.  Erasures track each cell's packet
-    of h + n + g*M bits through the bit channel.  Ties break toward the
-    lexicographically smaller (M, n).
-    """
-    n_candidates = sorted({as_int(v, "n") for v in n_range})
-    m_candidates = sorted({as_int(v, "M") for v in M_range})
-    if not n_candidates or not m_candidates:
-        raise ValueError("grids must be non-empty")
-    best: ThroughputPoint | None = None
-    for m in m_candidates:
-        for n in n_candidates:
-            s = with_bit_channel(replace(sys, M=m, n=n), bc)
-            found = optimal_policy(s, derive_timing(s))
-            e = _block_eta(s, found.profile)
-            if best is None or e > best.eta:
-                best = ThroughputPoint(n=n, M=m, eta=e, policy=found.policy)
-    return best

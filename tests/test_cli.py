@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from tddnc import cli, rlnc
 from tddnc.cli import main, render_csv, run_spec
 from tddnc.markov import Policy, expected_completion
-from tddnc.params import SystemParams, derive_timing
+from tddnc.optimizer import optimal_policy
+from tddnc.params import BitChannel, SystemParams, derive_timing, with_bit_channel
 
 SATELLITE_PARAMS = {
     "M": 10, "n": 10000, "g": 100, "h": 80, "n_ack": 100,
@@ -148,6 +149,39 @@ def test_sweep_joint_grid_order(tmp_path):
     main(["--config", _write(tmp_path, spec), "--out", str(out)])
     rows = _read_rows(out)
     assert [(int(r["M"]), int(r["n"])) for r in rows] == [(2, 1000), (2, 2000), (4, 1000), (4, 2000)]
+
+
+def _eta_sweep(command, params, pe_bit, **grids):
+    """The `eta_bps` values of an eta sweep, as {(M, n): value string}, in row order."""
+    rows = run_spec({"schema_version": 1, "command": command, "params": params,
+                     "bit_channel": {"Pe_bit": pe_bit}, **grids})
+    assert all(r["metric"] == "eta_bps" for r in rows)
+    return {(int(r["M"]), int(r["n"])): r["value"] for r in rows}
+
+
+def test_sweep_joint_rows_are_the_optimal_policy_of_each_cell():
+    # each cell re-optimizes the policy for erasures of its own packet size
+    params = {"M": 10, "n": 10000, "g": 100, "h": 80, "n_ack": 100, "R": 1e8, "T_rt": 0.25}
+    etas = _eta_sweep("sweep-joint", params, 1e-4, n_grid=[2000, 8000, 32000], m_grid=[2, 10, 30])
+    assert len(etas) == 9
+    for (m, n), value in etas.items():
+        cell = with_bit_channel(SystemParams(**{**params, "M": m, "n": n}), BitChannel(1e-4))
+        T_M = optimal_policy(cell, derive_timing(cell)).profile.T_M
+        assert value == format(m * n / T_M, ".8e")
+
+
+def test_sweep_n_error_free_prefers_the_largest_packet():
+    params = {"M": 4, "n": 1000, "g": 8, "h": 80, "n_ack": 100, "R": 1e6, "T_rt": 0.05}
+    etas = _eta_sweep("sweep-n", params, 0.0, n_grid=[500, 1000, 4000, 16000])
+    best = max(etas, key=lambda cell: float(etas[cell]))
+    assert best == (4, 16000)
+
+
+def test_sweep_m_grows_when_stops_dominate():
+    # long waits and an error-free channel: more packets per mandatory stop always wins
+    params = {"M": 1, "n": 1000, "g": 8, "h": 80, "n_ack": 100, "R": 1e6, "T_rt": 5.0}
+    etas = [float(v) for v in _eta_sweep("sweep-m", params, 0.0, m_grid=[1, 2, 4, 8]).values()]
+    assert len(etas) == 4 and etas == sorted(etas)
 
 
 def test_compare_eta_schemes(tmp_path):

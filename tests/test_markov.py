@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
 
-from chain_oracle import absorption_times, enumerated_transition
-from tddnc import markov
+from chain_oracle import absorption_times, enumerated_transition, transition_matrix
 from tddnc.markov import (
     CompletionProfile,
     Policy,
@@ -16,7 +14,6 @@ from tddnc.markov import (
     full_duplex_completion,
     state_completion_time,
     sw_mean_throughput,
-    transition_prob,
 )
 from tddnc.params import SystemParams, Timing, derive_timing
 
@@ -27,88 +24,36 @@ def _sys(M=1, Pe=0.0, Pe_ack=0.0):
     return SystemParams(M=M, n=10, g=1, h=0, n_ack=1, R=1.0, T_rt=0.0, Pe=Pe, Pe_ack=Pe_ack)
 
 
-def test_transition_perfect_channel():
-    assert transition_prob(1, 0, 1, 0.0, 0.0) == 1.0
-
-
-def test_transition_single_success_of_two():
-    # 4 equally likely erasure patterns of 2 packets; 2 give exactly one arrival
-    assert transition_prob(2, 1, 2, 0.5, 0.0) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_transition_self_loop():
-    assert transition_prob(1, 1, 2, 0.1, 0.001) == pytest.approx(0.01099, rel=1e-12)
+def _absorbing_mass(i, N_i, Pe, Pe_ack):
+    """P[state i -> 0 in one round]: i or more of N_i packets arrive and the ACK
+    does, summed with exact binomial coefficients."""
+    p = 1.0 - Pe
+    return (1.0 - Pe_ack) * sum(math.comb(N_i, k) * p**k * Pe ** (N_i - k)
+                                for k in range(i, N_i + 1))
 
 
 def test_transition_rows_sum_to_one():
-    for i in range(1, 11):
-        for Ni in range(1, 31):
-            for pe in (0.0, 0.1, 0.5, 0.9):
-                for pa in (0.0, 0.3):
-                    total = sum(transition_prob(i, j, Ni, pe, pa) for j in range(i + 1))
-                    assert total == pytest.approx(1.0, abs=1e-12)
+    # row i of the oracle's Q covers N_i below (i > N_i), at and above i
+    for Ni in range(1, 31):
+        for pe in (0.0, 0.1, 0.5, 0.9):
+            for pa in (0.0, 0.3):
+                Q = transition_matrix((Ni,) * 10, pe, pa)
+                for i in range(1, 11):
+                    mass = _absorbing_mass(i, Ni, pe, pa)
+                    assert 1.0 - Q[i - 1].sum() == pytest.approx(mass, abs=1e-12)
 
 
 def test_transition_matches_enumeration():
     # exhaustive over erasure patterns, covering N_i below, at, and above i
-    for i in (1, 2, 3, 5):
-        for Ni in (1, 2, 3, 5, 7):
-            for pe, pa in ((0.3, 0.0), (0.6, 0.2)):
-                for j in range(i + 1):
-                    want = enumerated_transition(i, j, Ni, pe, pa)
-                    assert transition_prob(i, j, Ni, pe, pa) == pytest.approx(want, abs=1e-12)
-
-
-def test_transition_rejects_bad_states():
-    with pytest.raises(ValueError):
-        transition_prob(2, 3, 5, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        transition_prob(2, 1, 0, 0.1, 0.0)
-
-
-def _full_tail(k, n, p):
-    """P[Binomial(n, p) >= k] as the left-to-right sum of all n - k + 1 pmf
-    terms, each in `_binom_pmf`'s operand order."""
-    acc = 0.0
-    for m in range(k, n + 1):
-        if p == 1.0:
-            acc += 1.0 if m == n else 0.0
-            continue
-        log_comb = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-        acc += math.exp(log_comb + m * math.log(p) + (n - m) * math.log1p(-p))
-    return acc
-
-
-def test_completion_in_one_round_above_the_mean_equals_the_full_sum():
-    for n in (1, 2, 5, 17, 100, 400):
-        for pe in (0.0, 0.01, 0.2, 0.5, 0.63, 0.9, 1 - 1e-6):
-            p = 1.0 - pe
-            for k in range(1, n + 1):
-                if k > n * p:
-                    assert transition_prob(k, 0, n, pe, 0.0) == _full_tail(k, n, p)
-
-
-def test_completion_in_one_round_at_or_below_the_mean_matches_scipy():
-    # the log-domain pmf itself drifts by about n * 1e-15 relative, summed or not
-    for n in (1, 10, 100, 1000):
-        for pe in (0.0, 0.01, 0.3, 0.5, 0.8, 0.99):
-            p = 1.0 - pe
-            mean = n * p
-            for k in {1, int(mean * 0.5), int(mean - 3 * math.sqrt(mean)), int(mean)}:
-                if 1 <= k <= mean:
-                    want = float(binom.sf(k - 1, n, p))
-                    assert transition_prob(k, 0, n, pe, 0.0) == pytest.approx(want, rel=1e-11)
-
-
-def test_completion_in_one_round_sums_only_the_terms_that_count(monkeypatch):
-    terms = []
-    pmf = markov._binom_pmf
-    monkeypatch.setattr(markov, "_binom_pmf", lambda k, n, p: terms.append(k) or pmf(k, n, p))
-    transition_prob(1, 0, 10**7, 0.5, 0.0)
-    assert len(terms) <= 2
-    terms.clear()
-    transition_prob(4_000_000, 0, 10**7, 0.6, 0.0)
-    assert len(terms) <= 50_000
+    for Ni in (1, 2, 3, 5, 7):
+        for pe, pa in ((0.3, 0.0), (0.6, 0.2), (0.1, 0.45)):
+            Q = transition_matrix((Ni,) * 5, pe, pa)
+            for i in range(1, 6):
+                for j in range(1, 6):
+                    want = enumerated_transition(i, j, Ni, pe, pa) if j <= i else 0.0
+                    assert Q[i - 1, j - 1] == pytest.approx(want, abs=1e-12)
+                mass = enumerated_transition(i, 0, Ni, pe, pa)
+                assert 1.0 - Q[i - 1].sum() == pytest.approx(mass, abs=1e-12)
 
 
 def test_extra_receptions_values():
@@ -244,15 +189,6 @@ def test_policy_rejects_non_integer_burst_sizes(value):
         Policy((2, value))
 
 
-@pytest.mark.parametrize("position", [0, 1, 2])
-@pytest.mark.parametrize("value", [True, 2.5, "2"])
-def test_transition_prob_rejects_non_integer_counts(position, value):
-    args = [2, 1, 2]
-    args[position] = value
-    with pytest.raises(TypeError):
-        transition_prob(*args, 0.5, 0.0)
-
-
 @pytest.mark.parametrize("M, q", [(True, 2), (2.5, 2), ("2", 2), (2, True), (2, 2.0), (2, "2")])
 def test_expected_extra_receptions_rejects_non_integer_counts(M, q):
     with pytest.raises(TypeError):
@@ -315,6 +251,17 @@ def test_sw_throughput_requires_single_packet_block():
     t = Timing(T_p=1.0, T_ack=0.5, T_w=10.0)
     with pytest.raises(ValueError):
         sw_mean_throughput(1, _sys(M=2), t)
+
+
+def test_sw_throughput_rejects_an_empty_burst():
+    with pytest.raises(ValueError, match="N_1"):
+        sw_mean_throughput(0, _sys(Pe=0.5), Timing(T_p=1.0, T_ack=0.5, T_w=10.0))
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "1"])
+def test_sw_throughput_rejects_non_integer_burst_sizes(value):
+    with pytest.raises(TypeError, match="N_1"):
+        sw_mean_throughput(value, _sys(Pe=0.5), Timing(T_p=1.0, T_ack=0.5, T_w=10.0))
 
 
 def test_profile_flags():

@@ -23,9 +23,8 @@ from tddnc.optimizer import (
     eta_sr,
     lambert_w_minus1,
     optimal_policy,
-    optimize_joint,
 )
-from tddnc.params import BitChannel, SystemParams, Timing, derive_timing
+from tddnc.params import SystemParams, Timing, derive_timing
 
 SATELLITE = dict(M=10, n=10000, g=100, h=80, n_ack=100, R=1.5e6, T_rt=0.25)
 HIGH_RATE = dict(M=10, n=10000, g=20, h=80, n_ack=100, R=1e7, T_rt=0.25)
@@ -381,6 +380,12 @@ def test_eta_optimal_dominates():
         assert best >= eta(sys, t, capped) * (1 - 1e-12)
 
 
+def test_eta_rejects_an_overflowing_profile():
+    # a round of 10 * 1e308 + 1e308 seconds overflows T_1 to inf
+    with pytest.raises(ValueError, match="not finite"):
+        eta(_sys(), Timing(1e308, 0.0, 1e308), Policy((10,)))
+
+
 def test_arq_baselines_direct_values():
     sys = SystemParams(**HIGH_RATE, Pe=0.8)
     assert (sys.h + sys.n) / sys.R == pytest.approx(0.001008, rel=1e-15)
@@ -428,92 +433,3 @@ def test_sr_linear_in_delivery_rate():
         assert eta_sr(SystemParams(**HIGH_RATE, Pe=pe), 7) == pytest.approx(
             base * (1 - pe), rel=1e-12
         )
-
-
-def test_optimize_packet_bits_error_free_prefers_largest():
-    sys = SystemParams(M=4, n=1000, g=8, h=80, n_ack=100, R=1e6, T_rt=0.05)
-    best = optimize_joint(sys, BitChannel(0.0), [500, 1000, 4000, 16000], [sys.M])
-    assert best.n == 16000
-
-
-def test_optimize_packet_bits_singleton():
-    sys = SystemParams(M=4, n=1000, g=8, h=80, n_ack=100, R=1e6, T_rt=0.05)
-    best = optimize_joint(sys, BitChannel(1e-5), [2000], [sys.M])
-    assert best.n == 2000 and best.M == 4
-    assert best.eta > 0
-
-
-def test_optimize_packet_bits_interior_peak():
-    sys = SystemParams(M=10, n=10000, g=100, h=80, n_ack=100, R=1e8, T_rt=0.25)
-    grid = [500, 2000, 8000, 32000, 64000]
-    best = optimize_joint(sys, BitChannel(1e-4), grid, [sys.M])
-    assert best.n not in (500, 64000)
-
-
-def test_optimize_rejects_empty_ranges():
-    sys = SystemParams(M=2, n=100, g=4, h=0, n_ack=10, R=1e6)
-    with pytest.raises(ValueError):
-        optimize_joint(sys, BitChannel(0.0), [sys.n], [])
-    with pytest.raises(ValueError):
-        optimize_joint(sys, BitChannel(0.0), [], [100])
-
-
-@pytest.mark.parametrize("n_range, M_range", [([1000.9], [2]), ([True], [2]), (["4"], [2]),
-                                              ([2.7], [2]), ([1000], [1000.9]), ([1000], [True]),
-                                              ([1000], ["4"]), ([1000], [2.7])])
-def test_optimize_joint_rejects_non_integer_grid_entries(n_range, M_range):
-    sys = SystemParams(M=2, n=1000, g=8, h=80, n_ack=100, R=1e6, T_rt=0.05)
-    with pytest.raises(TypeError, match="must be an integer"):
-        optimize_joint(sys, BitChannel(1e-5), n_range, M_range)
-
-
-def test_optimize_block_size_growing_when_stops_dominate():
-    # long waits and an error-free channel: more packets per mandatory stop always wins
-    sys = SystemParams(M=1, n=1000, g=8, h=80, n_ack=100, R=1e6, T_rt=5.0)
-    etas = []
-    for m in (1, 2, 4, 8):
-        etas.append(optimize_joint(sys, BitChannel(0.0), [sys.n], [m]).eta)
-    assert etas == sorted(etas)
-    best = optimize_joint(sys, BitChannel(0.0), [sys.n], [1, 2, 4, 8])
-    assert best.M == 8
-
-
-def test_optimize_joint_contains_axis_optima():
-    sys = SystemParams(M=10, n=10000, g=100, h=80, n_ack=100, R=1e8, T_rt=0.25)
-    bc = BitChannel(1e-4)
-    n_grid = [2000, 8000, 32000]
-    m_grid = [2, 10, 30]
-    joint = optimize_joint(sys, bc, n_grid, m_grid)
-    by_n = optimize_joint(sys, bc, n_grid, [sys.M])
-    by_m = optimize_joint(sys, bc, [sys.n], m_grid)
-    assert joint.eta >= by_n.eta * (1 - 1e-12)
-    assert joint.eta >= by_m.eta * (1 - 1e-12)
-    assert joint.n in n_grid and joint.M in m_grid
-
-
-def test_joint_matches_axiswise_maximum():
-    sys = SystemParams(M=10, n=10000, g=100, h=80, n_ack=100, R=1e8, T_rt=0.25)
-    bc = BitChannel(1e-4)
-    n_grid = [1000, 4000, 16000]
-    m_grid = [2, 5, 10]
-    joint = optimize_joint(sys, bc, n_grid, m_grid)
-    best = None
-    for m in m_grid:
-        cand = optimize_joint(sys, bc, n_grid, [m])
-        if best is None or cand.eta > best.eta:
-            best = cand
-    assert joint.eta == pytest.approx(best.eta, rel=1e-12)
-    assert (joint.M, joint.n) == (best.M, best.n)
-
-
-def test_throughput_point_invariant():
-    sys = SystemParams(M=5, n=4000, g=16, h=80, n_ack=100, R=1e7, T_rt=0.02)
-    bc = BitChannel(2e-5)
-    point = optimize_joint(sys, bc, [1000, 4000, 16000], [sys.M])
-    from tddnc.params import with_bit_channel
-
-    s = with_bit_channel(SystemParams(**{**sys.__dict__, "n": point.n}), bc)
-    t = derive_timing(s)
-    assert point.eta == pytest.approx(
-        s.M * s.n / expected_completion(point.policy, s, t).T_M, rel=1e-12
-    )
