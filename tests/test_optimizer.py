@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -102,6 +103,30 @@ def test_optimal_policy_equals_bounded_scalar_search():
         assert res.profile.T == T, (M, pe, pe_ack, ratio)
         assert res.profile.T == expected_completion(res.policy, _sys(M=M, Pe=pe, Pe_ack=pe_ack), t).T
         _assert_first_excluded(res, pe_ack, t)
+
+
+# sha256 over float.hex of N_i, T_i, the search bounds and a fixed window's profile
+# for 300 seeded specs (M 1-40, Pe 0-0.999, T_w/T_p 0.1-1000), recorded from the
+# kernel that called math.lgamma per term; any faster path must keep every bit
+SEARCH_PIN_SHA256 = "051c0d03866f9bc3aec4ac57c4c9e256d6012c45ef6a76d2bc9f735e25196001"
+
+
+def test_search_and_fixed_windows_match_the_pinned_digest():
+    rng = np.random.default_rng(25)
+    digest = hashlib.sha256()
+    for k in range(300):
+        M = int(rng.integers(1, 41))
+        pe = (0.0, 0.999)[k % 2] if k < 20 else float(rng.uniform(0.0, 0.999))
+        sys = SystemParams(M=M, n=1000, g=8, h=0, n_ack=1, R=1.0, Pe=pe,
+                           Pe_ack=float(rng.uniform(0.0, 0.3)))
+        T_p = float(rng.uniform(1e-4, 1.0))
+        t = Timing(T_p=T_p, T_ack=0.0, T_w=T_p * 10 ** float(rng.uniform(-1.0, 3.0)))
+        res = optimal_policy(sys, t)
+        fw = fixed_window_completion(int(rng.integers(1, M + 1)), sys, t)
+        values = (*map(float, res.policy.N), *res.profile.T,
+                  *map(float, res.search_bounds_used), *fw.T)
+        digest.update(" ".join(map(float.hex, values)).encode() + b"\n")
+    assert digest.hexdigest() == SEARCH_PIN_SHA256
 
 
 def _assert_first_excluded(res, pe_ack, t):
