@@ -30,7 +30,7 @@ from .markov import (
     full_duplex_completion,
 )
 from .optimizer import eta_gbn, eta_sr, optimal_policy
-from .params import BitChannel, SystemParams, derive_timing, with_bit_channel
+from .params import INT_BOUND, BitChannel, SystemParams, derive_timing, with_bit_channel
 from .rlnc import GaloisField  # noqa: F401  (bench/tracing.py patches tddnc.cli.GaloisField)
 from .simulator import SimConfig, simulate
 
@@ -117,7 +117,6 @@ def _row(cell, scheme, metric, value, **columns) -> dict:
 REQUIRED = object()
 INT, NUM, STR, OBJ = "integer", "number", "string", "object"
 SEED = "seed"       # an integer of the 64-bit seed range, which SimConfig checks
-INT_BOUND = 2**53   # integers a float holds exactly
 
 _KINDS = {
     INT: (lambda v: type(v) is int and abs(v) <= INT_BOUND, "an integer of magnitude at most 2**53"),
@@ -227,8 +226,11 @@ def _parse(spec):
         base = SystemParams(**_read(top["params"], _PARAMS, "params"))
         raw_bc = top.get("bit_channel")
         bc = None if raw_bc is None else BitChannel(**_read(raw_bc, _BIT_CHANNEL, "bit_channel"))
-        cells = [replace(base, M=m, n=n, Pe=pe) for m in top.get("m_grid", [base.M])
-                 for n in top.get("n_grid", [base.n]) for pe in top.get("pe_grid", [base.Pe])]
+        if top.keys().isdisjoint(("m_grid", "n_grid", "pe_grid")):
+            cells = [base]   # already checked: a spec without a grid has one cell
+        else:
+            cells = [replace(base, M=m, n=n, Pe=pe) for m in top.get("m_grid", [base.M])
+                     for n in top.get("n_grid", [base.n]) for pe in top.get("pe_grid", [base.Pe])]
         if bc is not None:
             cells = [with_bit_channel(sys, bc) for sys in cells]
         pe_bit = None if bc is None else bc.Pe_bit
@@ -304,10 +306,11 @@ def _sweep_rows(cells, schemes, metric, pe_bit) -> list[dict]:
 def _policy_rows(sys, pe_bit) -> list[dict]:
     result = optimal_policy(sys, derive_timing(sys))
     cell, rows = _cell(sys, pe_bit), []
-    for i, (n_i, bound) in enumerate(zip(result.policy.N, result.search_bounds_used), start=1):
-        rows += (_row(cell, "nc-optimal", "N_i", n_i, state=i),
-                 _row(cell, "nc-optimal", "T_i_seconds", result.profile.T[i], state=i),
-                 _row(cell, "nc-optimal", "search_bound", bound, state=i))
+    states = zip(result.policy.N, result.profile.T[1:], result.search_bounds_used)
+    for i, (n_i, t_i, bound) in enumerate(states, start=1):
+        at = {**cell, "state": str(i)}   # the three rows of state i
+        rows += (_row(at, "nc-optimal", "N_i", n_i), _row(at, "nc-optimal", "T_i_seconds", t_i),
+                 _row(at, "nc-optimal", "search_bound", bound))
     return rows
 
 

@@ -9,14 +9,22 @@ place, so progress made during that round is not credited.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from itertools import chain
 
-from .params import SystemParams, Timing, as_int
+import numpy as np
+
+from .params import INT_BOUND, SystemParams, Timing, as_int
 
 
 @dataclass(frozen=True)
 class Policy:
-    """Burst sizes indexed by deficit: N[i-1] packets are sent when i dofs are missing."""
+    """Burst sizes indexed by deficit: N[i-1] packets are sent when i dofs are missing.
+
+    Every burst size is an integer from 1 to 2**53, the integers a float holds
+    exactly; a larger one would overflow N*T_p and Pe**N.
+    """
 
     N: tuple[int, ...]
 
@@ -24,8 +32,8 @@ class Policy:
         object.__setattr__(self, "N", tuple(as_int(v, "burst size") for v in self.N))
         if len(self.N) < 1:
             raise ValueError("policy must cover at least one state")
-        if any(v < 1 for v in self.N):
-            raise ValueError("every burst size must be >= 1")
+        if not all(1 <= v <= INT_BOUND for v in self.N):
+            raise ValueError("every burst size must be an integer from 1 to 2**53")
 
     @property
     def M(self) -> int:
@@ -57,6 +65,30 @@ class CompletionProfile:
     @property
     def finite(self) -> bool:
         return all(map(math.isfinite, self.T))
+
+
+# lgamma(n + 1) for n < len(_LOG_FACT): one table for the process, read by the chain
+# kernel and the policy search, grown on demand up to _LOG_FACT_CAP entries and
+# never past them.  It holds lgamma's own values, so a read equals the call.  An
+# entry never changes once written, so reads take no lock; growth does.
+_LOG_FACT_CAP = 1 << 16
+_LOG_FACT: list[float] = []
+_LOG_FACT_GROWTH = threading.Lock()
+
+
+def _log_factorials(top: int) -> list[float]:
+    """The shared table, grown to cover n < min(top, _LOG_FACT_CAP)."""
+    lf = _LOG_FACT
+    with _LOG_FACT_GROWTH:
+        lf.extend(map(math.lgamma, range(len(lf) + 1, min(top, _LOG_FACT_CAP) + 1)))
+    return lf
+
+
+def _log_factorial_array(start: int, stop: int) -> np.ndarray:
+    """lgamma(n + 1) for start <= n < stop: the shared table's values below its
+    cap, lgamma's own above it."""
+    above = map(math.lgamma, range(max(start, _LOG_FACT_CAP) + 1, stop + 1))
+    return np.fromiter(chain(_log_factorials(stop)[start:stop], above), float, stop - start)
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -103,10 +135,12 @@ def state_completion_time(
     entered with the binomial probability of exactly i-j arrivals.
 
     The terms are `_binom_pmf`'s, inlined with the logs of the success and
-    failure probabilities and lgamma(N_i + 1) taken once per call; the
-    operands keep `_binom_pmf`'s order, so every value is bit-identical to
-    it.  A success probability of 1 (Pe = 0) goes through `_binom_pmf`
-    itself: there the log of the failure probability is infinite.
+    failure probabilities taken once per call.  Below 2**16 the log-factorials
+    are read from the process's shared table of lgamma's own values, above
+    it lgamma is called per term; the operands keep `_binom_pmf`'s order, so
+    every value is bit-identical to it.  A success probability of 1 (Pe = 0)
+    goes through `_binom_pmf` itself: there the log of the failure
+    probability is infinite.
     """
     stay = Pe**N_i
     progress = 1.0 - stay
@@ -114,11 +148,17 @@ def state_completion_time(
     acc = 0.0
     lo, p = max(1, i - N_i), 1.0 - Pe
     if lo < i and 0.0 < p < 1.0:
-        lg_n, lp, lq = math.lgamma(N_i + 1), math.log(p), math.log1p(-p)
-        for j in range(lo, i):
-            k = i - j
-            log_pmf = lg_n - math.lgamma(k + 1) - math.lgamma(N_i - k + 1) + k * lp + (N_i - k) * lq
-            acc += math.exp(log_pmf) * T_lower[j]
+        lp, lq = math.log(p), math.log1p(-p)
+        if N_i < _LOG_FACT_CAP:
+            lf = _LOG_FACT if N_i < len(_LOG_FACT) else _log_factorials(N_i + 1)
+            lg_n = lf[N_i]
+            for j in range(lo, i):
+                k = i - j
+                acc += math.exp(lg_n - lf[k] - lf[N_i - k] + k * lp + (N_i - k) * lq) * T_lower[j]
+        else:
+            for j in range(lo, i):
+                k = i - j
+                acc += math.exp(_log_comb(N_i, k) + k * lp + (N_i - k) * lq) * T_lower[j]
     else:
         for j in range(lo, i):
             acc += _binom_pmf(i - j, N_i, p) * T_lower[j]
@@ -163,13 +203,14 @@ def sw_mean_throughput(N_1: int, sys: SystemParams, timing: Timing) -> float:
     -p0*ln(p0) / (p1 * round) with round = N_1*T_p + T_w and p0 the
     per-round completion probability (1 - Pe_ack)(1 - Pe**N_1), the chain's
     own term in `state_completion_time`; p0 > 0, as Pe, Pe_ack < 1.  At
-    p1 = 1 - p0 = 0 the deterministic limit n/round applies.
+    p1 = 1 - p0 = 0 the deterministic limit n/round applies.  N_1 is an
+    integer from 1 to 2**53, as in `Policy`.
     """
     if sys.M != 1:
         raise ValueError("mean throughput closed form requires M = 1")
     N_1 = as_int(N_1, "N_1")
-    if N_1 < 1:
-        raise ValueError("N_1 must be >= 1")
+    if not 1 <= N_1 <= INT_BOUND:
+        raise ValueError("N_1 must be an integer from 1 to 2**53")
     p_done = (1.0 - sys.Pe_ack) * (1.0 - sys.Pe**N_1)
     round_time = N_1 * timing.T_p + timing.T_w
     p_stay = 1.0 - p_done

@@ -11,6 +11,7 @@ import numpy as np
 from .markov import (
     CompletionProfile,
     Policy,
+    _log_factorial_array,
     expected_completion,
     state_completion_time,
 )
@@ -54,7 +55,8 @@ class _Terms:
 
     None of them depends on the state.  Tables by N hold 1 - Pe**N (from
     Python's own Pe**N), the round term (N*T_p + T_w) / ((1 - Pe_ack)(1 - Pe**N))
-    and lgamma(N + 1), grown as the search reaches larger N.  A window
+    and lgamma(N + 1), copied from the process's shared table in `markov`, grown
+    as the search reaches larger N.  A window
     `pmf[rows - k, N - lo]` holds the binomial pmf of k = rows..1 arrivals in
     a burst of N, rows of descending k, so that state i reads its
     candidates' terms as the last i - 1 rows of their columns.
@@ -137,11 +139,11 @@ class _Terms:
             return
         progress = 1.0 - np.fromiter(map(self.Pe.__pow__, ns), float, len(ns))
         rounds = (np.arange(ns.start, top) * self.T_p + self.T_w) / ((1.0 - self.Pa) * progress)
-        self.progress = np.concatenate((self.progress, progress))
-        self.rounds = np.concatenate((self.rounds, rounds))
+        # the first block is the table itself: nothing to append to
+        self.progress = np.concatenate((self.progress, progress)) if ns.start else progress
+        self.rounds = np.concatenate((self.rounds, rounds)) if ns.start else rounds
         if self.M > 1:
-            more = np.fromiter(map(math.lgamma, range(ns.start + 1, top + 1)), float, len(ns))
-            self.log_fact = np.concatenate((self.log_fact, more))
+            self.log_fact = np.concatenate((self.log_fact, _log_factorial_array(ns.start, top)))
 
 
 def _live_end(n, stop, best_t, Pa, T_p, T_w):
@@ -151,18 +153,19 @@ def _live_end(n, stop, best_t, Pa, T_p, T_w):
     (best_t(1 - Pa) - T_w)/T_p rounded up and clipped to [n, stop], or, where rounding
     moved it, found by bisection beside it.  A NaN `best_t` leaves no N live.
     """
-    def live(m):
-        return (m * T_p + T_w) / (1.0 - Pa) < best_t
-
-    root = (best_t * (1.0 - Pa) - T_w) / T_p
+    keep = 1.0 - Pa   # N is live where (N*T_p + T_w) / keep < best_t
+    root = (best_t * keep - T_w) / T_p
     lo = hi = n if not root > n else max(n, stop) if not root < stop else math.ceil(root)
-    if lo < stop and live(lo):
+    if lo < stop and (lo * T_p + T_w) / keep < best_t:
         lo, hi = lo + 1, stop
-    elif lo > n and not live(lo - 1):
+    elif lo > n and not ((lo - 1) * T_p + T_w) / keep < best_t:
         lo, hi = n, lo - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        lo, hi = (mid + 1, hi) if live(mid) else (lo, mid)
+        if (mid * T_p + T_w) / keep < best_t:
+            lo = mid + 1
+        else:
+            hi = mid
     return lo
 
 
@@ -249,7 +252,7 @@ def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
                 est = terms.estimates(i, n, end, T)
                 estimated += end - n
                 low = np.fmin.reduce(est)  # skips NaN
-                near = np.flatnonzero(est <= low + low * _RESCORE_REL).tolist()
+                near = (est <= low + low * _RESCORE_REL).nonzero()[0].tolist()
                 scored = [n + r for r in near if n + r != seed] if low < math.inf else []
             for m in scored:
                 if m > best_n and not (m * T_p + T_w) / (1.0 - Pa) < best_t:

@@ -9,8 +9,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
+INT_BOUND = 2**53   # integers a float holds exactly
+
+
 def as_int(value, name: str) -> int:
     """`value` as an int; a bool, float, string or other non-integer raises TypeError."""
+    if type(value) is int:   # the common case; a bool or numpy integer takes the checks below
+        return value
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
     return operator.index(value)

@@ -89,6 +89,20 @@ def test_sweep_pe_ratio_column(tmp_path):
     assert 1.24 <= ratio <= 1.34  # the optimized scheme stays near the streaming bound
 
 
+def test_one_cell_pe_grid_echoes_negative_zero(tmp_path):
+    # a grid cell is built from its own grid value, never from the params' copy
+    spec = {
+        "schema_version": 1,
+        "command": "sweep-pe",
+        "params": {k: v for k, v in SATELLITE_PARAMS.items() if k != "Pe"},
+        "pe_grid": [-0.0],
+        "schemes": ["nc-optimal", "full-duplex"],
+    }
+    out = tmp_path / "out.csv"
+    assert main(["--config", _write(tmp_path, spec), "--out", str(out)]) == 0
+    assert [r["Pe"] for r in _read_rows(out)] == ["-0.0", "-0.0"]
+
+
 def test_sweep_row_round_trips_to_same_value(tmp_path):
     spec = {
         "schema_version": 1,

@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
 
 from chain_oracle import absorption_times, enumerated_transition, transition_matrix
+from tddnc import markov
 from tddnc.markov import (
     CompletionProfile,
     Policy,
@@ -137,6 +141,58 @@ def test_state_completion_time_is_bit_identical_to_per_term_pmf():
                 float(rng.uniform(0.0, 100.0)))
         got, want = state_completion_time(*args), _reference_step(*args)
         assert _same_float(got, want), args
+    # both sides of the cap of the shared log-factorial table, past which lgamma is called
+    cap = markov._LOG_FACT_CAP
+    for n_i in (cap - 1, cap, cap + 1, 3 * cap, 2**40, 2**53):
+        for pe in (1e-9, 0.3, 0.97, 1.0 - 1e-12):
+            T = [0.0] + [float(v) for v in rng.uniform(0.0, 100.0, size=39)]
+            args = (40, n_i, T, pe, 0.1, 1e-3, 0.5)
+            assert _same_float(state_completion_time(*args), _reference_step(*args)), args
+
+
+def test_log_factorial_table_holds_lgammas_own_values():
+    lf = markov._log_factorials(5000)
+    assert 5000 <= len(lf) <= markov._LOG_FACT_CAP
+    assert all(v == math.lgamma(n + 1) for n, v in enumerate(lf))
+    run = markov._log_factorial_array(markov._LOG_FACT_CAP - 3, markov._LOG_FACT_CAP + 3)
+    assert run.tolist() == [math.lgamma(n + 1) for n in range(markov._LOG_FACT_CAP - 3,
+                                                              markov._LOG_FACT_CAP + 3)]
+    assert len(markov._LOG_FACT) == markov._LOG_FACT_CAP
+
+
+def test_huge_bursts_leave_the_table_within_its_cap():
+    t = Timing(T_p=1e-9, T_ack=0.0, T_w=1.0)
+    profile = expected_completion(Policy((2**40,) * 3), _sys(M=3, Pe=0.5), t)
+    assert profile.finite
+    assert len(markov._LOG_FACT) <= markov._LOG_FACT_CAP
+
+
+def test_log_factorial_table_grows_consistently_from_many_threads(monkeypatch):
+    # lgamma as Python code lets a thread switch fall inside a growth step
+    monkeypatch.setattr(markov, "math", types.SimpleNamespace(lgamma=lambda x: math.lgamma(x)))
+    tops = range(1, 4001, 50)
+    want = [math.lgamma(n + 1) for n in range(max(tops))]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(markov, "_LOG_FACT", [])
+            start = threading.Barrier(4)
+
+            def grow(k):
+                start.wait(timeout=30)
+                for top in tops[k::4]:
+                    markov._log_factorials(top)
+
+            workers = [threading.Thread(target=grow, args=(k,)) for k in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            assert not any(w.is_alive() for w in workers)
+            assert markov._LOG_FACT == want
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_completion_monotone_in_ack_loss():
@@ -181,6 +237,17 @@ def test_fixed_window_policy():
             fixed_window_policy(omega, 5)
         with pytest.raises(ValueError):
             fixed_window_completion(omega, _sys(M=5), Timing(T_p=1.0, T_ack=0.5, T_w=1.0))
+
+
+def test_burst_sizes_stop_at_2_53():
+    assert Policy((2**53,)).N == (2**53,)
+    t = Timing(T_p=1.0, T_ack=0.5, T_w=10.0)
+    assert sw_mean_throughput(2**53, _sys(Pe=0.5), t) > 0.0
+    for huge in (2**53 + 1, 10**400):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            Policy((1, huge))
+        with pytest.raises(ValueError, match="N_1"):
+            sw_mean_throughput(huge, _sys(Pe=0.5), t)
 
 
 @pytest.mark.parametrize("value", [True, 3.0, 2.5, "3"])

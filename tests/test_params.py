@@ -9,6 +9,7 @@ from tddnc.params import (
     BitChannel,
     SystemParams,
     Timing,
+    as_int,
     derive_timing,
     erasures_from_bit_channel,
     packet_erasure,
@@ -116,6 +117,16 @@ def test_construction_rejects_invalid():
 def test_construction_rejects_non_integer_counts(field, value):
     with pytest.raises(TypeError):
         SystemParams(**{**SATELLITE, field: value})
+
+
+def test_as_int_rejects_bools_and_returns_python_ints():
+    with pytest.raises(TypeError, match="flag"):
+        as_int(True, "flag")
+    with pytest.raises(TypeError, match="flag"):
+        as_int(np.True_, "flag")
+    for value in (7, np.int64(7), np.uint8(7)):
+        got = as_int(value, "count")
+        assert got == 7 and type(got) is int
 
 
 @pytest.mark.parametrize("field", ["R", "T_rt", "Pe", "Pe_ack"])
