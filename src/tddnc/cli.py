@@ -227,7 +227,7 @@ def _parse(spec):
         raw_bc = top.get("bit_channel")
         bc = None if raw_bc is None else BitChannel(**_read(raw_bc, _BIT_CHANNEL, "bit_channel"))
         if top.keys().isdisjoint(("m_grid", "n_grid", "pe_grid")):
-            cells = [base]   # already checked: a spec without a grid has one cell
+            cells = [base]   # a spec without a grid is its one cell, built and checked once
         else:
             cells = [replace(base, M=m, n=n, Pe=pe) for m in top.get("m_grid", [base.M])
                      for n in top.get("n_grid", [base.n]) for pe in top.get("pe_grid", [base.Pe])]

@@ -12,8 +12,7 @@ import math
 import threading
 from dataclasses import dataclass
 from itertools import chain
-
-import numpy as np
+from typing import Iterator
 
 from .params import INT_BOUND, SystemParams, Timing, as_int
 
@@ -84,11 +83,11 @@ def _log_factorials(top: int) -> list[float]:
     return lf
 
 
-def _log_factorial_array(start: int, stop: int) -> np.ndarray:
+def _log_factorial_run(start: int, stop: int) -> Iterator[float]:
     """lgamma(n + 1) for start <= n < stop: the shared table's values below its
     cap, lgamma's own above it."""
     above = map(math.lgamma, range(max(start, _LOG_FACT_CAP) + 1, stop + 1))
-    return np.fromiter(chain(_log_factorials(stop)[start:stop], above), float, stop - start)
+    return chain(_log_factorials(stop)[start:stop], above)
 
 
 def _log_comb(n: int, k: int) -> float:

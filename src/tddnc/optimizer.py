@@ -11,7 +11,7 @@ import numpy as np
 from .markov import (
     CompletionProfile,
     Policy,
-    _log_factorial_array,
+    _log_factorial_run,
     expected_completion,
     state_completion_time,
 )
@@ -143,7 +143,8 @@ class _Terms:
         self.progress = np.concatenate((self.progress, progress)) if ns.start else progress
         self.rounds = np.concatenate((self.rounds, rounds)) if ns.start else rounds
         if self.M > 1:
-            self.log_fact = np.concatenate((self.log_fact, _log_factorial_array(ns.start, top)))
+            more = np.fromiter(_log_factorial_run(ns.start, top), float, len(ns))
+            self.log_fact = np.concatenate((self.log_fact, more))
 
 
 def _live_end(n, stop, best_t, Pa, T_p, T_w):

@@ -154,9 +154,9 @@ def test_log_factorial_table_holds_lgammas_own_values():
     lf = markov._log_factorials(5000)
     assert 5000 <= len(lf) <= markov._LOG_FACT_CAP
     assert all(v == math.lgamma(n + 1) for n, v in enumerate(lf))
-    run = markov._log_factorial_array(markov._LOG_FACT_CAP - 3, markov._LOG_FACT_CAP + 3)
-    assert run.tolist() == [math.lgamma(n + 1) for n in range(markov._LOG_FACT_CAP - 3,
-                                                              markov._LOG_FACT_CAP + 3)]
+    run = markov._log_factorial_run(markov._LOG_FACT_CAP - 3, markov._LOG_FACT_CAP + 3)
+    assert list(run) == [math.lgamma(n + 1) for n in range(markov._LOG_FACT_CAP - 3,
+                                                          markov._LOG_FACT_CAP + 3)]
     assert len(markov._LOG_FACT) == markov._LOG_FACT_CAP
 
 
