@@ -155,9 +155,11 @@ def state_completion_time(
                 k = i - j
                 acc += math.exp(lg_n - lf[k] - lf[N_i - k] + k * lp + (N_i - k) * lq) * T_lower[j]
         else:
+            lg_n = math.lgamma(N_i + 1)
             for j in range(lo, i):
                 k = i - j
-                acc += math.exp(_log_comb(N_i, k) + k * lp + (N_i - k) * lq) * T_lower[j]
+                log_pmf = lg_n - math.lgamma(k + 1) - math.lgamma(N_i - k + 1) + k * lp + (N_i - k) * lq
+                acc += math.exp(log_pmf) * T_lower[j]
     else:
         for j in range(lo, i):
             acc += _binom_pmf(i - j, N_i, p) * T_lower[j]
