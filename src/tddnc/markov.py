@@ -145,7 +145,7 @@ def state_completion_time(
     progress = 1.0 - stay
     t = (N_i * T_p + T_w) / ((1.0 - Pe_ack) * progress)
     acc = 0.0
-    lo, p = max(1, i - N_i), 1.0 - Pe
+    lo, p = i - N_i if N_i < i else 1, 1.0 - Pe
     if lo < i and 0.0 < p < 1.0:
         lp, lq = math.log(p), math.log1p(-p)
         if N_i < _LOG_FACT_CAP:

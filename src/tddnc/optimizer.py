@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -137,8 +138,11 @@ class _Terms:
         ns = range(self.progress.size, top)
         if not ns:
             return
-        progress = 1.0 - np.fromiter(map(self.Pe.__pow__, ns), float, len(ns))
-        rounds = (np.arange(ns.start, top) * self.T_p + self.T_w) / ((1.0 - self.Pa) * progress)
+        N = np.arange(ns.start, top, dtype=float)
+        # math.pow of N as a float is the libm call behind Python's own Pe**N, without
+        # its int-to-float step
+        progress = 1.0 - np.fromiter(map(math.pow, repeat(self.Pe), N.tolist()), float, len(ns))
+        rounds = (N * self.T_p + self.T_w) / ((1.0 - self.Pa) * progress)
         # the first block is the table itself: nothing to append to
         self.progress = np.concatenate((self.progress, progress)) if ns.start else progress
         self.rounds = np.concatenate((self.rounds, rounds)) if ns.start else rounds
@@ -234,6 +238,7 @@ def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
     sizes = [0]
     bounds: list[int] = []
     counts: list[SearchCounts] = []
+    keep = 1.0 - Pa   # N can beat or tie best_t only where (N*T_p + T_w) / keep < best_t
     for i in range(1, M + 1):
         seed = max(i, 2 * sizes[-1] - sizes[-2]) if i > 1 else _seed_N1(Pe, T_p, T_w)
         best_t, scanned = state_completion_time(i, seed, T, Pe, Pa, T_p, T_w), 1
@@ -252,11 +257,13 @@ def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
                 terms = terms or _Terms(M, Pe, Pa, T_p, T_w)
                 est = terms.estimates(i, n, end, T)
                 estimated += end - n
-                low = np.fmin.reduce(est)  # skips NaN
+                # an estimate is NaN only where a lower T_j is not finite, and then
+                # none is finite: a NaN minimum, like an infinite one, scores nothing
+                low = est[est.argmin()]
                 near = (est <= low + low * _RESCORE_REL).nonzero()[0].tolist()
                 scored = [n + r for r in near if n + r != seed] if low < math.inf else []
             for m in scored:
-                if m > best_n and not (m * T_p + T_w) / (1.0 - Pa) < best_t:
+                if m > best_n and not (m * T_p + T_w) / keep < best_t:
                     break  # neither this N nor a larger one can beat or tie the best
                 t = state_completion_time(i, m, T, Pe, Pa, T_p, T_w)
                 scanned, rescored = scanned + scalar, rescored + (not scalar)
