@@ -54,12 +54,12 @@ class OptimalPolicyResult:
 class _Terms:
     """The terms of `state_completion_time` that one search shares between its states.
 
-    None of them depends on the state.  Tables by N hold 1 - Pe**N (from
-    Python's own Pe**N), the round term (N*T_p + T_w) / ((1 - Pe_ack)(1 - Pe**N))
-    and lgamma(N + 1), copied from the process's shared table in `markov`, grown
-    as the search reaches larger N.  A window
-    `pmf[rows - k, N - lo]` holds the binomial pmf of k = rows..1 arrivals in
-    a burst of N, rows of descending k, so that state i reads its
+    None of them depends on the state.  Tables by N hold 1 - Pe**N (from the
+    libm pow behind Python's own Pe**N), the round term
+    (N*T_p + T_w) / ((1 - Pe_ack)(1 - Pe**N)) and lgamma(N + 1), copied from the
+    process's shared table in `markov`, grown as the search reaches larger N.
+    A window `pmf[rows - k, N - lo]` holds the binomial pmf of k = rows..1
+    arrivals in a burst of N, rows of descending k, so that state i reads its
     candidates' terms as the last i - 1 rows of their columns.
 
     The window holds at most _TABLE_ENTRIES = 7 * 2**14 terms.  A request that it does
