@@ -1,5 +1,7 @@
 """Delay-optimal random linear network coding for time-division-duplex erasure links."""
 
+import importlib
+
 from .markov import (
     CompletionProfile,
     Policy,
@@ -28,7 +30,24 @@ from .params import (
     packet_erasure,
     with_bit_channel,
 )
-from .rlnc import Decoder, GaloisField, encode
-from .simulator import SimConfig, SimResult, histogram, run_records, simulate, summarize
 
 __version__ = "0.1.0"
+
+# The names of the numpy modules, imported on first access (PEP 562), so that
+# `import tddnc` and the analysis above do not import numpy.
+_LAZY_EXPORTS = {
+    "rlnc": ("Decoder", "GaloisField", "encode"),
+    "simulator": ("SimConfig", "SimResult", "histogram", "run_records", "simulate", "summarize"),
+}
+
+
+def __getattr__(name):
+    for module, names in _LAZY_EXPORTS.items():
+        if name in names:
+            value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *(name for names in _LAZY_EXPORTS.values() for name in names)})

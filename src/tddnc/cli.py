@@ -31,8 +31,6 @@ from .markov import (
 )
 from .optimizer import eta_gbn, eta_sr, optimal_policy
 from .params import INT_BOUND, BitChannel, SystemParams, derive_timing, with_bit_channel
-from .rlnc import GaloisField  # noqa: F401  (bench/tracing.py patches tddnc.cli.GaloisField)
-from .simulator import SimConfig, simulate
 
 SCHEMA_VERSION = 1
 
@@ -263,7 +261,10 @@ def _sim_policy(raw, M):
     return Policy(tuple(raw["N"])), "explicit:" + ";".join(str(v) for v in raw["N"])
 
 
-def _sim_config(raw, seed, g) -> SimConfig:
+def _sim_config(raw, seed, g):
+    """The `SimConfig` of a simulate spec."""
+    from .simulator import SimConfig
+
     raw = _read(raw, _SIMS, "sim", tag="mode", default="chain")
     field_g = raw.get("field_g")
     return SimConfig(mode=raw["mode"], runs=raw["runs"], master_seed=seed,
@@ -312,6 +313,23 @@ def _policy_rows(sys, pe_bit) -> list[dict]:
         rows += (_row(at, "nc-optimal", "N_i", n_i), _row(at, "nc-optimal", "T_i_seconds", t_i),
                  _row(at, "nc-optimal", "search_bound", bound))
     return rows
+
+
+# The simulator and the field tables are numpy code: they are imported on first
+# use, so that a process running other commands never imports numpy.  The tracer
+# in bench/ patches both names here.
+def simulate(policy, sys, timing, cfg):
+    """`tddnc.simulator.simulate`, imported on the first call."""
+    from .simulator import simulate
+
+    return simulate(policy, sys, timing, cfg)
+
+
+def GaloisField(g):  # noqa: N802  (it stands for the class)
+    """`tddnc.rlnc.GaloisField(g)`, imported on the first call; no command builds a field."""
+    from .rlnc import GaloisField
+
+    return GaloisField(g)
 
 
 def _simulate_rows(sys, pe_bit, policy, label, cfg) -> list[dict]:

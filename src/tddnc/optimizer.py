@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys as _sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
-
-import numpy as np
 
 from .markov import (
     CompletionProfile,
@@ -21,18 +21,27 @@ from .params import SystemParams, Timing, as_int, derive_timing
 _TABLE_ENTRIES = 7 << 14
 _RESCORE_REL = 1e-10
 _SCAN_TERMS = 32  # an estimate costs about as much as this many scalar binomial terms
+# A search in a process without numpy scores its ranges with the scalar routine up
+# to this many binomial terms, a few ms, before it imports numpy, which takes tens of
+# ms: enough for the searches of M up to about 16, and little lost by a larger one
+# that imports numpy after all
+_SCALAR_BUDGET = 1 << 15
+
+np = None   # numpy, imported by the first `_Terms`: a search that builds none runs without it
 
 
 class SearchCounts(NamedTuple):
     """Candidates N of one state's search, by how they were scored.
 
     scanned    scored by the scalar routine without an estimate: the seed, the
-               candidates of a range too short to estimate, and the tie check
-               past the range
+               candidates of a range too short to estimate or scored within a
+               process's numpy-free budget, and the tie check past the range
     estimated  estimated from the search's table of terms
     rescored   estimates re-scored by the scalar routine
 
-    `state_completion_time` is called scanned + rescored times.
+    `state_completion_time` is called scanned + rescored times.  The counts
+    depend on whether the process had imported numpy before the search (see
+    `optimal_policy`); the policy, its profile and the search bounds do not.
     """
 
     scanned: int
@@ -68,8 +77,10 @@ class _Terms:
     so state s needs s - 1 rows and the columns up to about end*s/i.  A
     range too wide for one window is walked in blocks, each filled for its
     state alone.  So a term is computed once for all the states a window
-    serves, not once per state.  The window is the search's only buffer of
-    terms (0.9 MB at most); a refill frees it before allocating the next.
+    serves, not once per state.  State 1 reads no row, so the window is
+    first filled by the first state i >= 2 that estimates.  The window is
+    the search's only buffer of terms (0.9 MB at most); a refill frees it
+    before allocating the next.
 
     A pmf term keeps the scalar routine's operands in their order, so np.exp
     differs from math.exp by an ulp or so.  A state sums its rows with one
@@ -82,6 +93,9 @@ class _Terms:
     """
 
     def __init__(self, M, Pe, Pa, T_p, T_w):
+        global np
+        import numpy as np
+
         self.M, self.Pe, self.Pa, self.T_p, self.T_w = M, Pe, Pa, T_p, T_w
         p = 1.0 - Pe
         self.lq = math.log1p(-p) if p < 1.0 else -math.inf
@@ -107,7 +121,12 @@ class _Terms:
 
     def _refill(self, i, n, end):
         """Fill the window from N = n for state i and, at the first block of its
-        range, for the later states that fit."""
+        range, for the later states that fit.  State 1 reads no row, so for it
+        only the tables by N grow."""
+        if i == 1:
+            self._grow(end)
+            self.pmf, self.lo = np.empty((0, end - n)), n
+            return
         last, top = i, self.M if n == i else i
         while last < top:   # bisect for the last state s whose terms fit
             mid = (last + top + 1) // 2
@@ -225,15 +244,27 @@ def optimal_policy(sys: SystemParams, timing: Timing) -> OptimalPolicyResult:
     i * 2**-53 relative of the scalar value.  Every candidate within 1e-10
     relative of a block's minimum estimate is re-scored with the scalar
     routine, and the winner and its T_i come from those scalar values, so
-    policies and profiles are exactly those of a scalar search.  The seed,
-    the 32 and the table's size set only the speed.
+    policies and profiles are exactly those of a scalar search.
+
+    A process that has not imported numpy runs the search without it for as
+    long as it can: until the ranges it has scored with the scalar routine
+    would pass 2**15 binomial terms, about the cost of importing numpy, it
+    scores every range that way.  The first range past that imports numpy
+    and is estimated, and so is every later one as above.  A process that
+    holds numpy already estimates from the start.  The seed, the 32, the
+    2**15 and the table's size set only the speed.
     """
-    with np.errstate(all="ignore"):  # overflow and 0*inf behave as in the scalar routine
-        return _search(sys.M, sys.Pe, sys.Pe_ack, timing.T_p, timing.T_w)
+    budget = 0 if "numpy" in _sys.modules else _SCALAR_BUDGET
+    with contextlib.ExitStack() as numpy_scope:
+        return _search(sys.M, sys.Pe, sys.Pe_ack, timing.T_p, timing.T_w, budget, numpy_scope)
 
 
-def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
+def _search(M, Pe, Pa, T_p, T_w, budget, numpy_scope) -> OptimalPolicyResult:
+    """The search of `optimal_policy`.  Ranges are scored with the scalar routine
+    while their terms stay within `budget` and no estimate has been made; the
+    first estimate enters numpy's error state on `numpy_scope`."""
     terms = None   # built at the first estimate
+    spent = 0      # binomial terms of the ranges scored with the scalar routine
     T: list[float] = [0.0]
     sizes = [0]
     bounds: list[int] = []
@@ -250,11 +281,16 @@ def _search(M, Pe, Pa, T_p, T_w) -> OptimalPolicyResult:
         n = i
         while True:
             end = _live_end(n, n + widest, best_t, Pa, T_p, T_w)
-            scalar = (end - n - 1) * i <= _SCAN_TERMS
+            cost = (end - n) * i
+            scalar = cost - i <= _SCAN_TERMS or terms is None and spent + cost <= budget
             if scalar:
+                spent += cost
                 scored = [m for m in range(n, end) if m != seed]
             else:
-                terms = terms or _Terms(M, Pe, Pa, T_p, T_w)
+                if terms is None:
+                    terms = _Terms(M, Pe, Pa, T_p, T_w)
+                    # overflow and 0*inf behave as in the scalar routine
+                    numpy_scope.enter_context(np.errstate(all="ignore"))
                 est = terms.estimates(i, n, end, T)
                 estimated += end - n
                 # an estimate is NaN only where a lower T_j is not finite, and then

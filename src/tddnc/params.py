@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 import operator
+import sys as _sys
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 
 INT_BOUND = 2**53   # integers a float holds exactly
@@ -22,10 +21,15 @@ def as_int(value, name: str) -> int:
 
 
 def _reject_bool(obj, *names: str) -> None:
-    """Raise TypeError if a named real field of `obj` is a bool, which would pass as 0 or 1."""
+    """Raise TypeError if a named real field of `obj` is a bool, which would pass as 0 or 1.
+
+    A numpy bool can exist only once numpy is imported, so this imports no numpy.
+    """
+    np = _sys.modules.get("numpy")
+    bools = (bool, np.bool_) if np else bool
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, (bool, np.bool_)):
+        if isinstance(value, bools):
             raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
 
 

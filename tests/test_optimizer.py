@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import os
@@ -111,7 +112,9 @@ def test_optimal_policy_equals_bounded_scalar_search():
 SEARCH_PIN_SHA256 = "051c0d03866f9bc3aec4ac57c4c9e256d6012c45ef6a76d2bc9f735e25196001"
 
 
-def test_search_and_fixed_windows_match_the_pinned_digest():
+def _pinned_digest(search):
+    """The sha256 of `search`'s policies, profiles and bounds and of a fixed window's
+    profile for the 300 pinned specs."""
     rng = np.random.default_rng(25)
     digest = hashlib.sha256()
     for k in range(300):
@@ -121,12 +124,31 @@ def test_search_and_fixed_windows_match_the_pinned_digest():
                            Pe_ack=float(rng.uniform(0.0, 0.3)))
         T_p = float(rng.uniform(1e-4, 1.0))
         t = Timing(T_p=T_p, T_ack=0.0, T_w=T_p * 10 ** float(rng.uniform(-1.0, 3.0)))
-        res = optimal_policy(sys, t)
+        res = search(sys, t)
         fw = fixed_window_completion(int(rng.integers(1, M + 1)), sys, t)
         values = (*map(float, res.policy.N), *res.profile.T,
                   *map(float, res.search_bounds_used), *fw.T)
         digest.update(" ".join(map(float.hex, values)).encode() + b"\n")
-    assert digest.hexdigest() == SEARCH_PIN_SHA256
+    return digest.hexdigest()
+
+
+def _budget_search(budget):
+    """`optimal_policy` as a process without numpy runs it, with a scalar budget of
+    `budget` binomial terms."""
+    def search(sys, t):
+        with contextlib.ExitStack() as scope:
+            return optimizer._search(sys.M, sys.Pe, sys.Pe_ack, t.T_p, t.T_w, budget, scope)
+    return search
+
+
+def test_search_and_fixed_windows_match_the_pinned_digest():
+    assert _pinned_digest(optimal_policy) == SEARCH_PIN_SHA256
+
+
+def test_a_search_without_numpy_matches_the_pinned_digest():
+    # the scalar budget of a process that has not imported numpy moves which
+    # candidates are estimated, never a policy, a time or a bound
+    assert _pinned_digest(_budget_search(optimizer._SCALAR_BUDGET)) == SEARCH_PIN_SHA256
 
 
 def _assert_first_excluded(res, pe_ack, t):
@@ -249,7 +271,9 @@ def test_one_blas_thread_gives_the_same_search():
     # threaded gemv may split differently from a single thread; the variable does
     # nothing under a BLAS other than OpenBLAS
     spec = dict(M=200, n=10000, g=8, h=80, n_ack=100, R=1.5e6, T_rt=0.25, Pe=0.8, Pe_ack=0.001)
-    code = ("from tddnc.optimizer import optimal_policy; "
+    # numpy is imported first, as in this process: a search in a process without
+    # it scores more candidates with the scalar routine, so its counts differ
+    code = ("import numpy; from tddnc.optimizer import optimal_policy; "
             "from tddnc.params import SystemParams, derive_timing; "
             f"s = SystemParams(**{spec!r}); r = optimal_policy(s, derive_timing(s)); "
             "print(repr((r.policy.N, r.profile.T, r.search_bounds_used, r.search_counts)))")

@@ -4,15 +4,37 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "tddnc").glob("*.py"))
 
 
 def _exports():
-    """Every name `tddnc/__init__.py` imports from its modules."""
+    """Every name `tddnc/__init__.py` imports from its modules, and every name of
+    its table of exports imported on first access."""
     tree = ast.parse((ROOT / "src" / "tddnc" / "__init__.py").read_text())
-    return [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
-            for a in node.names]
+    lazy = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets] == ["_LAZY_EXPORTS"]]
+    assert len(lazy) == 1
+    return ([a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+             for a in node.names] + [name for names in lazy[0].values() for name in names])
+
+
+def test_every_export_resolves():
+    import tddnc
+
+    names = _exports()
+    assert {"simulate", "GaloisField", "Decoder", "optimal_policy"} <= set(names)
+    assert all(callable(getattr(tddnc, name)) for name in names)
+    assert set(names) <= set(dir(tddnc))
+    from tddnc import Decoder, GaloisField, simulate
+    from tddnc.rlnc import Decoder as decoder, GaloisField as field
+    from tddnc.simulator import simulate as sim
+
+    assert (Decoder, GaloisField, simulate) == (decoder, field, sim)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        tddnc.nonexistent
 
 
 def test_readme_names_every_public_export():
