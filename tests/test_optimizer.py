@@ -132,23 +132,19 @@ def _pinned_digest(search):
     return digest.hexdigest()
 
 
-def _budget_search(budget):
-    """`optimal_policy` as a process without numpy runs it, with a scalar budget of
-    `budget` binomial terms."""
-    def search(sys, t):
-        with contextlib.ExitStack() as scope:
-            return optimizer._search(sys.M, sys.Pe, sys.Pe_ack, t.T_p, t.T_w, budget, scope)
-    return search
-
-
 def test_search_and_fixed_windows_match_the_pinned_digest():
     assert _pinned_digest(optimal_policy) == SEARCH_PIN_SHA256
 
 
 def test_a_search_without_numpy_matches_the_pinned_digest():
-    # the scalar budget of a process that has not imported numpy moves which
-    # candidates are estimated, never a policy, a time or a bound
-    assert _pinned_digest(_budget_search(optimizer._SCALAR_BUDGET)) == SEARCH_PIN_SHA256
+    # the search as a process that has not imported numpy runs it: its scalar
+    # budget moves which candidates are estimated, never a policy, a time or a bound
+    def search(sys, t):
+        with contextlib.ExitStack() as scope:
+            return optimizer._search(sys.M, sys.Pe, sys.Pe_ack, t.T_p, t.T_w,
+                                     optimizer._SCALAR_BUDGET, scope)
+
+    assert _pinned_digest(search) == SEARCH_PIN_SHA256
 
 
 def _assert_first_excluded(res, pe_ack, t):
