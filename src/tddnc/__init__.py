@@ -34,11 +34,22 @@ from .params import (
 __version__ = "0.1.0"
 
 # The names of the numpy modules, imported on first access (PEP 562), so that
-# `import tddnc` and the analysis above do not import numpy.
+# `import tddnc` and the analysis above do not import numpy; `from tddnc import *`
+# imports them.
 _LAZY_EXPORTS = {
     "rlnc": ("Decoder", "GaloisField", "encode"),
     "simulator": ("SimConfig", "SimResult", "histogram", "run_records", "simulate", "summarize"),
 }
+
+
+__all__ = [
+    "BitChannel", "CompletionProfile", "OptimalPolicyResult", "Policy", "SystemParams", "Timing",
+    "continuous_optimum_N1", "derive_timing", "erasures_from_bit_channel", "eta", "eta_gbn",
+    "eta_sr", "expected_completion", "expected_extra_receptions", "fixed_window_completion",
+    "fixed_window_policy", "full_duplex_completion", "lambert_w_minus1", "optimal_policy",
+    "packet_erasure", "sw_mean_throughput", "with_bit_channel",
+    *(name for names in _LAZY_EXPORTS.values() for name in names),
+]
 
 
 def __getattr__(name):
@@ -50,4 +61,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *(name for names in _LAZY_EXPORTS.values() for name in names)})
+    return sorted({*globals(), *__all__})

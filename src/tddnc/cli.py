@@ -263,11 +263,9 @@ def _sim_policy(raw, M):
 
 def _sim_config(raw, seed, g):
     """The `SimConfig` of a simulate spec."""
-    from .simulator import SimConfig
-
     raw = _read(raw, _SIMS, "sim", tag="mode", default="chain")
     field_g = raw.get("field_g")
-    return SimConfig(mode=raw["mode"], runs=raw["runs"], master_seed=seed,
+    return _simulator().SimConfig(mode=raw["mode"], runs=raw["runs"], master_seed=seed,
                      field_g=g if field_g is None else field_g)
 
 
@@ -317,12 +315,18 @@ def _policy_rows(sys, pe_bit) -> list[dict]:
 
 # The simulator and the field tables are numpy code: they are imported on first
 # use, so that a process running other commands never imports numpy.  The tracer
-# in bench/ patches both names here.
+# in bench/ patches `simulate` and `GaloisField` here.
+@cache
+def _simulator():
+    """`tddnc.simulator`, imported on the first call."""
+    from . import simulator
+
+    return simulator
+
+
 def simulate(policy, sys, timing, cfg):
     """`tddnc.simulator.simulate`, imported on the first call."""
-    from .simulator import simulate
-
-    return simulate(policy, sys, timing, cfg)
+    return _simulator().simulate(policy, sys, timing, cfg)
 
 
 def GaloisField(g):  # noqa: N802  (it stands for the class)

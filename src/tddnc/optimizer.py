@@ -21,11 +21,12 @@ from .params import SystemParams, Timing, as_int, derive_timing
 _TABLE_ENTRIES = 7 << 14
 _RESCORE_REL = 1e-10
 _SCAN_TERMS = 32  # an estimate costs about as much as this many scalar binomial terms
-# A search in a process without numpy scores its ranges with the scalar routine up
-# to this many binomial terms before it imports numpy: about 7 ms against about
-# 100 ms for the import on a 2-vCPU VM.  That covers the searches of M up to 16
-# drawn by the benchmark, and is all that a larger search loses
+# The searches of a process without numpy score their ranges with the scalar
+# routine up to this many binomial terms in all before one imports numpy: about
+# 7 ms against about 100 ms for the import on a 2-vCPU VM.  That covers the
+# searches of M up to 16 drawn by the benchmark, and is all that a process loses
 _SCALAR_BUDGET = 1 << 15
+_scalar_left = _SCALAR_BUDGET   # what this process's searches have not spent of it
 
 np = None   # numpy, imported by the first `_Terms`: a search that builds none runs without it
 
@@ -246,23 +247,26 @@ def optimal_policy(sys: SystemParams, timing: Timing) -> OptimalPolicyResult:
     routine, and the winner and its T_i come from those scalar values, so
     policies and profiles are exactly those of a scalar search.
 
-    A process that has not imported numpy runs the search without it for as
-    long as it can: until the ranges it has scored with the scalar routine
-    would pass 2**15 binomial terms, about the cost of importing numpy, it
-    scores every range that way.  The first range past that imports numpy
-    and is estimated, and so is every later one as above.  A process that
-    holds numpy already estimates from the start.  The seed, the 32, the
-    2**15 and the table's size set only the speed.
+    A process that has not imported numpy runs its searches without it for
+    as long as it can: until the ranges its searches have scored with the
+    scalar routine would pass 2**15 binomial terms in all, about the cost
+    of importing numpy, it scores every range that way.  The first range
+    past that imports numpy and is estimated, and so is every later one as
+    above.  A process that holds numpy already estimates from the start.
+    The seed, the 32, the 2**15 and the table's size set only the speed.
     """
-    budget = 0 if "numpy" in _sys.modules else _SCALAR_BUDGET
-    with contextlib.ExitStack() as numpy_scope:
-        return _search(sys.M, sys.Pe, sys.Pe_ack, timing.T_p, timing.T_w, budget, numpy_scope)
+    global _scalar_left
+    budget = 0 if "numpy" in _sys.modules else _scalar_left
+    result, spent = _search(sys.M, sys.Pe, sys.Pe_ack, timing.T_p, timing.T_w, budget)
+    _scalar_left = max(0, budget - spent)
+    return result
 
 
-def _search(M, Pe, Pa, T_p, T_w, budget, numpy_scope) -> OptimalPolicyResult:
-    """The search of `optimal_policy`.  Ranges are scored with the scalar routine
-    while their terms stay within `budget` and no estimate has been made; the
-    first estimate enters numpy's error state on `numpy_scope`."""
+def _search(M, Pe, Pa, T_p, T_w, budget) -> tuple[OptimalPolicyResult, int]:
+    """The search of `optimal_policy` and the binomial terms of the ranges it
+    scored with the scalar routine.  Ranges are scored that way while their
+    terms stay within `budget` and no estimate has been made; the first
+    estimate enters numpy's error state for the rest of the search."""
     terms = None   # built at the first estimate
     spent = 0      # binomial terms of the ranges scored with the scalar routine
     T: list[float] = [0.0]
@@ -270,61 +274,62 @@ def _search(M, Pe, Pa, T_p, T_w, budget, numpy_scope) -> OptimalPolicyResult:
     bounds: list[int] = []
     counts: list[SearchCounts] = []
     keep = 1.0 - Pa   # N can beat or tie best_t only where (N*T_p + T_w) / keep < best_t
-    for i in range(1, M + 1):
-        seed = max(i, 2 * sizes[-1] - sizes[-2]) if i > 1 else _seed_N1(Pe, T_p, T_w)
-        best_t, scanned = state_completion_time(i, seed, T, Pe, Pa, T_p, T_w), 1
-        if seed > i and not best_t < math.inf:
-            # a seed without a finite time bounds nothing: search upward from N = i
-            seed, best_t, scanned = i, state_completion_time(i, i, T, Pe, Pa, T_p, T_w), 2
-        best_n, estimated, rescored = seed, 0, 0
-        widest = _TABLE_ENTRIES // max(1, i - 1)
-        n = i
-        while True:
-            end = _live_end(n, n + widest, best_t, Pa, T_p, T_w)
-            cost = (end - n) * i
-            scalar = cost - i <= _SCAN_TERMS or (terms is None and spent + cost <= budget)
-            if scalar:
-                spent += cost
-                scored = [m for m in range(n, end) if m != seed]
-            else:
-                if terms is None:
-                    terms = _Terms(M, Pe, Pa, T_p, T_w)
-                    # overflow and 0*inf behave as in the scalar routine
-                    numpy_scope.enter_context(np.errstate(all="ignore"))
-                est = terms.estimates(i, n, end, T)
-                estimated += end - n
-                # an estimate is NaN only where a lower T_j is not finite, and then
-                # none is finite: a NaN minimum, like an infinite one, scores nothing
-                low = est[est.argmin()]
-                near = (est <= low + low * _RESCORE_REL).nonzero()[0].tolist()
-                scored = [n + r for r in near if n + r != seed] if low < math.inf else []
-            for m in scored:
-                if m > best_n and not (m * T_p + T_w) / keep < best_t:
-                    break  # neither this N nor a larger one can beat or tie the best
-                t = state_completion_time(i, m, T, Pe, Pa, T_p, T_w)
-                scanned, rescored = scanned + scalar, rescored + (not scalar)
-                if t < best_t or (t == best_t and m < best_n):
-                    best_t, best_n = t, m
-            if end < n + widest:
-                break
-            n = end
-        # past the live range every bound is at least the seed's time, so a
-        # smaller N ties the seed only where its bound equals that time
-        for m in range(end, best_n):
-            scanned += 1
-            if state_completion_time(i, m, T, Pe, Pa, T_p, T_w) == best_t:
-                best_n = m
-                break
-        sizes.append(best_n)
-        bounds.append(_live_end(best_n + 1, end, best_t, Pa, T_p, T_w))
-        counts.append(SearchCounts(scanned, estimated, rescored))
-        T.append(best_t)
+    with contextlib.ExitStack() as numpy_scope:
+        for i in range(1, M + 1):
+            seed = max(i, 2 * sizes[-1] - sizes[-2]) if i > 1 else _seed_N1(Pe, T_p, T_w)
+            best_t, scanned = state_completion_time(i, seed, T, Pe, Pa, T_p, T_w), 1
+            if seed > i and not best_t < math.inf:
+                # a seed without a finite time bounds nothing: search upward from N = i
+                seed, best_t, scanned = i, state_completion_time(i, i, T, Pe, Pa, T_p, T_w), 2
+            best_n, estimated, rescored = seed, 0, 0
+            widest = _TABLE_ENTRIES // max(1, i - 1)
+            n = i
+            while True:
+                end = _live_end(n, n + widest, best_t, Pa, T_p, T_w)
+                cost = (end - n) * i
+                scalar = cost - i <= _SCAN_TERMS or (terms is None and spent + cost <= budget)
+                if scalar:
+                    spent += cost
+                    scored = [m for m in range(n, end) if m != seed]
+                else:
+                    if terms is None:
+                        terms = _Terms(M, Pe, Pa, T_p, T_w)
+                        # overflow and 0*inf behave as in the scalar routine
+                        numpy_scope.enter_context(np.errstate(all="ignore"))
+                    est = terms.estimates(i, n, end, T)
+                    estimated += end - n
+                    # an estimate is NaN only where a lower T_j is not finite, and then
+                    # none is finite: a NaN minimum, like an infinite one, scores nothing
+                    low = est[est.argmin()]
+                    near = (est <= low + low * _RESCORE_REL).nonzero()[0].tolist()
+                    scored = [n + r for r in near if n + r != seed] if low < math.inf else []
+                for m in scored:
+                    if m > best_n and not (m * T_p + T_w) / keep < best_t:
+                        break  # neither this N nor a larger one can beat or tie the best
+                    t = state_completion_time(i, m, T, Pe, Pa, T_p, T_w)
+                    scanned, rescored = scanned + scalar, rescored + (not scalar)
+                    if t < best_t or (t == best_t and m < best_n):
+                        best_t, best_n = t, m
+                if end < n + widest:
+                    break
+                n = end
+            # past the live range every bound is at least the seed's time, so a
+            # smaller N ties the seed only where its bound equals that time
+            for m in range(end, best_n):
+                scanned += 1
+                if state_completion_time(i, m, T, Pe, Pa, T_p, T_w) == best_t:
+                    best_n = m
+                    break
+            sizes.append(best_n)
+            bounds.append(_live_end(best_n + 1, end, best_t, Pa, T_p, T_w))
+            counts.append(SearchCounts(scanned, estimated, rescored))
+            T.append(best_t)
     return OptimalPolicyResult(
         policy=Policy(tuple(sizes[1:])),
         profile=CompletionProfile(tuple(T)),
         search_bounds_used=tuple(bounds),
         search_counts=tuple(counts),
-    )
+    ), spent
 
 
 _BRANCH_POINT = -math.exp(-1.0)

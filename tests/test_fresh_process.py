@@ -16,6 +16,7 @@ import numpy  # noqa: F401  (this process holds numpy, as a library user's may)
 import pytest
 
 from test_configs import CONFIGS, CSV_SHA256, JSON_SHA256, POLICY_CSV_SHA256, POLICY_SPEC
+from tddnc import optimizer
 from tddnc.optimizer import optimal_policy
 from tddnc.params import SystemParams, derive_timing
 
@@ -73,6 +74,24 @@ def test_policy_spec_runs_without_numpy(tmp_path):
     # in a process that holds numpy the same search estimates from a table
     sys_ = SystemParams(**POLICY_SPEC["params"])
     assert sum(c.estimated for c in optimal_policy(sys_, derive_timing(sys_)).search_counts) > 0
+
+
+def test_the_specs_of_one_process_share_the_scalar_budget(tmp_path):
+    # each run of the policy spec spends the same scalar terms from one budget per
+    # process, so a loop of specs loses at most that budget before numpy is
+    # imported; the run that would pass it imports numpy, with the same bytes
+    sys_ = SystemParams(**POLICY_SPEC["params"])
+    t = derive_timing(sys_)
+    _, spent = optimizer._search(sys_.M, sys_.Pe, sys_.Pe_ack, t.T_p, t.T_w,
+                                 optimizer._SCALAR_BUDGET)
+    free = optimizer._SCALAR_BUDGET // spent
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(POLICY_SPEC))
+    outs = [tmp_path / f"out{k}.csv" for k in range(free + 1)]
+    states = _fresh(RUN_CLI, json.dumps([["--config", str(spec), "--out", str(out)]
+                                         for out in outs]))
+    assert states == [[0, False]] * free + [[0, True]]
+    assert {hashlib.sha256(out.read_bytes()).hexdigest() for out in outs} == {POLICY_CSV_SHA256}
 
 
 def test_fresh_large_search_matches_the_in_process_search():

@@ -1,9 +1,9 @@
-import contextlib
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -137,14 +137,35 @@ def test_search_and_fixed_windows_match_the_pinned_digest():
 
 
 def test_a_search_without_numpy_matches_the_pinned_digest():
-    # the search as a process that has not imported numpy runs it: its scalar
-    # budget moves which candidates are estimated, never a policy, a time or a bound
+    # each search as the first of a process that has not imported numpy runs it:
+    # its scalar budget moves which candidates are estimated, never a policy, a
+    # time or a bound
     def search(sys, t):
-        with contextlib.ExitStack() as scope:
-            return optimizer._search(sys.M, sys.Pe, sys.Pe_ack, t.T_p, t.T_w,
-                                     optimizer._SCALAR_BUDGET, scope)
+        return optimizer._search(sys.M, sys.Pe, sys.Pe_ack, t.T_p, t.T_w,
+                                 optimizer._SCALAR_BUDGET)[0]
 
     assert _pinned_digest(search) == SEARCH_PIN_SHA256
+
+
+def test_the_searches_of_a_process_without_numpy_share_one_budget(monkeypatch):
+    # the M=10 search spends a few thousand scalar terms: the searches fitting
+    # in one budget run without estimates, and the next one estimates once the
+    # terms left run out; policies, times and bounds stay those of a numpy process
+    s = SystemParams(**SATELLITE, Pe=0.8, Pe_ack=0.001)
+    t = derive_timing(s)
+    held = optimal_policy(s, t)
+    _, spent = optimizer._search(s.M, s.Pe, s.Pe_ack, t.T_p, t.T_w, optimizer._SCALAR_BUDGET)
+    monkeypatch.setattr(optimizer, "_sys", types.SimpleNamespace(modules={}))
+    monkeypatch.setattr(optimizer, "_scalar_left", optimizer._SCALAR_BUDGET)
+    free = optimizer._SCALAR_BUDGET // spent
+    assert sum(c.estimated for c in held.search_counts) > 0 and free >= 2
+    for k in range(free + 1):
+        r = optimal_policy(s, t)
+        assert (r.policy, r.profile, r.search_bounds_used) == \
+            (held.policy, held.profile, held.search_bounds_used)
+        assert (sum(c.estimated for c in r.search_counts) > 0) is (k == free)
+        if k < free:
+            assert optimizer._scalar_left == optimizer._SCALAR_BUDGET - (k + 1) * spent
 
 
 def _assert_first_excluded(res, pe_ack, t):

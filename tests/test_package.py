@@ -22,13 +22,18 @@ def _exports():
 
 
 def test_every_export_resolves():
-    # the rlnc and simulator names are imported on first access
+    # the rlnc and simulator names are imported on first access, and a star
+    # import brings in every name
     import tddnc
 
     names = _exports()
     assert {"simulate", "GaloisField", "Decoder", "optimal_policy"} <= set(names)
     assert all(callable(getattr(tddnc, name)) for name in names)
     assert set(names) <= set(dir(tddnc))
+    assert sorted(tddnc.__all__) == sorted(names)
+    star = {}
+    exec("from tddnc import *", star)
+    assert all(star[name] is getattr(tddnc, name) for name in names)
     from tddnc import Decoder, GaloisField, simulate
 
     assert (Decoder, GaloisField) == (tddnc.rlnc.Decoder, tddnc.rlnc.GaloisField)
