@@ -258,7 +258,8 @@ def optimal_policy(sys: SystemParams, timing: Timing) -> OptimalPolicyResult:
     global _scalar_left
     budget = 0 if "numpy" in _sys.modules else _scalar_left
     result, spent = _search(sys.M, sys.Pe, sys.Pe_ack, timing.T_p, timing.T_w, budget)
-    _scalar_left = max(0, budget - spent)
+    if budget:   # searches racing in threads may both spend it: that moves only the speed
+        _scalar_left = max(0, budget - spent)
     return result
 
 
