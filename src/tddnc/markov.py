@@ -9,10 +9,7 @@ place, so progress made during that round is not credited.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator
 
 from .params import INT_BOUND, SystemParams, Timing, as_int
 
@@ -66,41 +63,89 @@ class CompletionProfile:
         return all(map(math.isfinite, self.T))
 
 
-# lgamma(n + 1) for n < len(_LOG_FACT): one table for the process, read by the chain
-# kernel and the policy search, grown on demand up to _LOG_FACT_CAP entries and
-# never past them.  It holds lgamma's own values, so a read equals the call.  An
-# entry never changes once written, so reads take no lock; growth does.
-_LOG_FACT_CAP = 1 << 16
-_LOG_FACT: list[float] = []
-_LOG_FACT_GROWTH = threading.Lock()
+# Where Pe**N underflows, the running product of the chances carries a power of 2
+# beside it.  `state_completion_time` starts from Pe**N lifted by a power of _LIFT
+# and takes one lift off whenever the product passes 1, a compare a term (a frexp a
+# term doubled the time of such calls); `_arrival_chances` moves the power into an
+# exponent array with frexp once a block of rows.
+_LIFT_BITS = 600
+_LIFT = 2.0**_LIFT_BITS
+_TINY = 2.0**-1022   # the least normal float
+_LN2 = math.log(2.0)
 
 
-def _log_factorials(top: int) -> list[float]:
-    """The shared table, grown to cover n < min(top, _LOG_FACT_CAP)."""
-    lf = _LOG_FACT
-    with _LOG_FACT_GROWTH:
-        lf.extend(map(math.lgamma, range(len(lf) + 1, min(top, _LOG_FACT_CAP) + 1)))
-    return lf
+def _arrival_chances(N, stay, rows: int, Pe: float):
+    """`state_completion_time`'s law over whole arrays, within its error bounds:
+    entry [k, c] is the chance of k < rows arrivals in a burst of N[c] packets.
+
+    N is a float array of ascending burst sizes and stay their Pe**N.  Row k is
+    row k - 1 times (N - k + 1)*r/k.  A column whose Pe**N underflows runs as a
+    mantissa and a power of 2.  A k above N has chance 0 (or -0).
+    """
+    import numpy as np
+
+    out = np.empty((rows, N.size))
+    p = 1.0 - Pe
+    if p == 1.0:   # every packet arrives
+        np.equal(np.arange(rows)[:, None], N, out=out)
+        return out
+    r = p / Pe
+    k = np.arange(1.0, rows)
+    if N.size > 1 and N[-1] - N[0] == N.size - 1:
+        # consecutive sizes (the search's window), one pass instead of two: [k, c] of a
+        # skew view of v is v[c - k + rows - 1] = N[c] - k + 1
+        v = np.arange(N[0] + 2.0 - rows, N[-1] + 2.0)
+        skew = np.ndarray(out.shape, float, v, (rows - 1) * v.itemsize, (-v.itemsize, v.itemsize))
+        np.multiply(skew[1:], (r / k)[:, None], out=out[1:])
+    else:
+        np.subtract(N + 1.0, k[:, None], out=out[1:])
+        out[1:] *= (r / k)[:, None]
+    # Pe**N falls in N, so where it underflows that is a suffix of the columns
+    lin = N.size if stay[-1] >= _TINY else int(np.count_nonzero(stay >= _TINY))
+    out[0, :lin] = stay[:lin]
+    if lin < N.size:   # there entry [k, c] is out[k, c] * 2**e[c]
+        pm, q = math.frexp(Pe)   # Pe**N = exp(N ln pm) * 2**(q N)
+        x = N[lin:] * math.log(pm)
+        e = np.floor(x / _LN2)
+        out[0, lin:], de = np.frexp(np.exp(x - e * _LN2))
+        e = e.astype(np.int64) + de + q * N[lin:].astype(np.int64)
+    # Running products in blocks of L rows: each block's own, then the block times the
+    # last row of the one before.  A factor is below 2**bits, so a block multiplies at
+    # most 2**1000 onto its start (one block from row 0 holds the chances themselves
+    # while no column is lifted).  Where a row holds few columns, a block's products run
+    # down its columns in one call, else a whole row at a time for all blocks, about
+    # 2 sqrt(rows) calls that each cost more but run faster a cell; the two cross near
+    # N.size * isqrt(rows) = 1500 in timings of tables of 4 to 600 rows.
+    bits = max(1, math.frexp(N[-1] * r)[1])
+    down = N.size * math.isqrt(rows) < 1500
+    if down:
+        L = rows if lin == N.size else 1000 // bits
+    else:
+        L = min(math.isqrt(rows), 1000 // bits)
+        for j in range(1, L):
+            row = out[j::L]
+            row *= out[j - 1::L][:row.shape[0]]
+    for b in range(0, rows, L):
+        block = out[b:b + L]
+        if down:
+            np.cumprod(block, axis=0, out=block)
+        if b:
+            block[:, :lin] *= out[b - 1, :lin]
+        if lin < N.size:
+            tail = block[:, lin:]
+            if b:
+                tail *= m
+            m, de = np.frexp(tail[-1])
+            # int32 powers, a tenth of int64's cost; one below -2100 takes any entry to 0
+            np.ldexp(tail, np.maximum(e, -2100).astype(np.int32), out=tail)
+            e += de
+    return out
 
 
-def _log_factorial_run(start: int, stop: int) -> Iterator[float]:
-    """lgamma(n + 1) for start <= n < stop: the shared table's values below its
-    cap, lgamma's own above it."""
-    above = map(math.lgamma, range(max(start, _LOG_FACT_CAP) + 1, stop + 1))
-    return chain(_log_factorials(stop)[start:stop], above)
-
-
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def _binom_pmf(k: int, n: int, p: float) -> float:
-    """P[Binomial(n, p) = k] for 0 < p <= 1, combined in log domain so large n stays finite."""
-    if k < 0 or k > n:
-        return 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    return math.exp(_log_comb(n, k) + k * math.log(p) + (n - k) * math.log1p(-p))
+def _progress(Pe: float, N, stay: float) -> float:
+    """1 - Pe**N, given stay = Pe**N: -expm1(N ln Pe) where Pe**N >= 0.5, so
+    that it does not cancel."""
+    return 1.0 - stay if stay < 0.5 else -math.expm1(N * math.log(Pe))
 
 
 def expected_extra_receptions(M: int, q: int) -> float:
@@ -131,38 +176,45 @@ def state_completion_time(
 
     First-step analysis with the self-loop factored out: the round cost
     N_i*T_p + T_w is paid once per visit, and each lower state j < i is
-    entered with the binomial probability of exactly i-j arrivals.
+    entered with the binomial probability of exactly k = i-j arrivals.
 
-    The terms are `_binom_pmf`'s, inlined with the logs of the success and
-    failure probabilities taken once per call.  Below 2**16 the log-factorials
-    are read from the process's shared table of lgamma's own values, above
-    it lgamma is called per term; the operands keep `_binom_pmf`'s order, so
-    every value is bit-identical to it.  A success probability of 1 (Pe = 0)
-    goes through `_binom_pmf` itself: there the log of the failure
-    probability is infinite.
+    Those chances come from one running product over k: the chance of no
+    arrival is Pe**N_i, and each next one is the last times
+    (N_i - k + 1)*r/k with r = (1 - Pe)/Pe.  No log-factorial is formed, so
+    a term's relative error grows with k, not with N_i: it is within about
+    (4k + 2)*2**-53 of the exact chance.  Where Pe**N_i underflows, the
+    product starts from Pe**N_i taken as exp(N_i ln m) * 2**(q N_i), with
+    Pe = m * 2**q and 1/2 <= m < 1, which adds at most about
+    1.4 N_i * 2**-53.  1 - Pe**N_i comes from `_progress`.  A success
+    probability of 1 (Pe below 2**-53, Pe = 0 included) sends all N_i
+    packets through.
     """
     stay = Pe**N_i
-    progress = 1.0 - stay
+    progress = _progress(Pe, N_i, stay)
     t = (N_i * T_p + T_w) / ((1.0 - Pe_ack) * progress)
+    if i == 1:   # no lower state to enter
+        return t
     acc = 0.0
     lo, p = i - N_i if N_i < i else 1, 1.0 - Pe
-    if lo < i and 0.0 < p < 1.0:
-        lp, lq = math.log(p), math.log1p(-p)
-        if N_i < _LOG_FACT_CAP:
-            lf = _LOG_FACT if N_i < len(_LOG_FACT) else _log_factorials(N_i + 1)
-            lg_n = lf[N_i]
-            for j in range(lo, i):
-                k = i - j
-                acc += math.exp(lg_n - lf[k] - lf[N_i - k] + k * lp + (N_i - k) * lq) * T_lower[j]
-        else:
-            lg_n = math.lgamma(N_i + 1)
-            for j in range(lo, i):
-                k = i - j
-                log_pmf = lg_n - math.lgamma(k + 1) - math.lgamma(N_i - k + 1) + k * lp + (N_i - k) * lq
-                acc += math.exp(log_pmf) * T_lower[j]
-    else:
+    if p == 1.0:
         for j in range(lo, i):
-            acc += _binom_pmf(i - j, N_i, p) * T_lower[j]
+            acc += (i - j == N_i) * T_lower[j]
+        return t + acc / progress
+    r, top = p / Pe, N_i + 1
+    w, lifts, scale = stay, 0, 1.0   # the chance of k arrivals is w * scale
+    if stay < _TINY:   # Pe**N_i = exp(x) * 2**(q N_i), lifted into (2**-600, 1]
+        m, q = math.frexp(Pe)
+        x = N_i * math.log(m)
+        lifts = math.floor(-(x / _LN2 + q * N_i) / _LIFT_BITS)
+        w = math.exp(x + (q * N_i + _LIFT_BITS * lifts) * _LN2)
+        scale = _LIFT**-lifts
+    for k in range(1, i - lo + 1):
+        w *= (top - k) * r / k
+        if w > 1.0 and lifts:
+            w /= _LIFT
+            lifts -= 1
+            scale = _LIFT**-lifts
+        acc += w * scale * T_lower[i - k]
     return t + acc / progress
 
 
@@ -212,7 +264,7 @@ def sw_mean_throughput(N_1: int, sys: SystemParams, timing: Timing) -> float:
     N_1 = as_int(N_1, "N_1")
     if not 1 <= N_1 <= INT_BOUND:
         raise ValueError("N_1 must be an integer from 1 to 2**53")
-    p_done = (1.0 - sys.Pe_ack) * (1.0 - sys.Pe**N_1)
+    p_done = (1.0 - sys.Pe_ack) * _progress(sys.Pe, N_1, sys.Pe**N_1)
     round_time = N_1 * timing.T_p + timing.T_w
     p_stay = 1.0 - p_done
     if p_stay == 0.0:

@@ -12,7 +12,8 @@ from typing import NamedTuple
 from .markov import (
     CompletionProfile,
     Policy,
-    _log_factorial_run,
+    _arrival_chances,
+    _progress,
     expected_completion,
     state_completion_time,
 )
@@ -64,13 +65,12 @@ class OptimalPolicyResult:
 class _Terms:
     """The terms of `state_completion_time` that one search shares between its states.
 
-    None of them depends on the state.  Tables by N hold 1 - Pe**N (from the
-    libm pow behind Python's own Pe**N), the round term
-    (N*T_p + T_w) / ((1 - Pe_ack)(1 - Pe**N)) and lgamma(N + 1), copied from the
-    process's shared table in `markov`, grown as the search reaches larger N.
-    A window `pmf[rows - k, N - lo]` holds the binomial pmf of k = rows..1
-    arrivals in a burst of N, rows of descending k, so that state i reads its
-    candidates' terms as the last i - 1 rows of their columns.
+    None of them depends on the state.  Tables by N hold Pe**N (from the
+    libm pow behind Python's own Pe**N), 1 - Pe**N as the scalar routine
+    takes it, and the round term (N*T_p + T_w) / ((1 - Pe_ack)(1 - Pe**N)),
+    grown as the search reaches larger N.  A window `pmf[k - 1, N - lo]`
+    holds the binomial pmf of k arrivals in a burst of N, so that state i
+    reads its candidates' terms as the first i - 1 rows of their columns.
 
     The window holds at most _TABLE_ENTRIES = 7 * 2**14 terms.  A request that it does
     not cover refills it from the request's first N for the later states as
@@ -80,17 +80,20 @@ class _Terms:
     state alone.  So a term is computed once for all the states a window
     serves, not once per state.  State 1 reads no row, so the window is
     first filled by the first state i >= 2 that estimates.  The window is
-    the search's only buffer of terms (0.9 MB at most); a refill frees it
+    the search's only buffer of terms (about 0.9 MB at most); a refill frees it
     before allocating the next.
 
-    A pmf term keeps the scalar routine's operands in their order, so np.exp
-    differs from math.exp by an ulp or so.  A state sums its rows with one
+    The window comes from `markov._arrival_chances`, the scalar routine's
+    law over whole arrays, so a term is within about (4k + 2) * 2**-53
+    relative of the exact pmf, plus about 1.4 N * 2**-53 where Pe**N
+    underflows, as the scalar's is.  A state sums its rows with one
     matrix-vector product, in BLAS's order rather than the scalar loop's;
-    the terms are positive, so any order is within about i * 2**-53 relative
-    of the scalar sum.  An estimate spans at least two N in at most
-    _TABLE_ENTRIES terms, so only states i <= 57345 are estimated and this
-    stays below 7e-12, inside the 1e-10 re-score window.  The tests hold the
-    estimates to 1e-12 relative up to i = 500.
+    the terms are positive, so any order is within about i * 2**-53
+    relative of the scalar sum.  An estimate spans at least two N in at
+    most _TABLE_ENTRIES terms, so only states i <= 57345 are estimated, and
+    an estimate is within about 10 * i * 2**-53 < 7e-11 of the scalar
+    value, inside the 1e-10 re-score window.  The tests hold the estimates
+    to 1e-12 relative up to i = 500.
     """
 
     def __init__(self, M, Pe, Pa, T_p, T_w):
@@ -98,13 +101,7 @@ class _Terms:
         import numpy as np
 
         self.M, self.Pe, self.Pa, self.T_p, self.T_w = M, Pe, Pa, T_p, T_w
-        p = 1.0 - Pe
-        self.lq = math.log1p(-p) if p < 1.0 else -math.inf
-        self.k_lp = np.arange(M) * math.log(p)   # k * ln(p) for k arrivals
-        self.progress = self.rounds = np.empty(0)
-        # log_fact[M + m] = lgamma(m + 1); the M entries below pad the unread
-        # terms k >= N of a row, so that every read stays inside the array
-        self.log_fact = np.zeros(M)
+        self.stay = self.progress = self.rounds = np.empty(0)
         self.lo, self.pmf = 0, np.empty((0, 0))
 
     def estimates(self, i, n, end, T):
@@ -116,9 +113,8 @@ class _Terms:
         rows, width = self.pmf.shape
         if i > rows + 1 or not self.lo <= n < end <= self.lo + width:
             self._refill(i, n, end)
-            rows = self.pmf.shape[0]
-        pmf = self.pmf[rows - i + 1:, n - self.lo:end - self.lo]
-        return self.rounds[n:end] + np.array(T[1:i]) @ pmf / self.progress[n:end]
+        pmf = self.pmf[:i - 1, n - self.lo:end - self.lo]
+        return self.rounds[n:end] + np.array(T[i - 1:0:-1]) @ pmf / self.progress[n:end]
 
     def _refill(self, i, n, end):
         """Fill the window from N = n for state i and, at the first block of its
@@ -138,37 +134,31 @@ class _Terms:
         rows, cols = last - 1, -(-end * last // i) - n
         self._grow(n + cols)
         self.pmf = None   # freed before its successor is allocated
-        self.pmf = pmf = np.empty((rows, cols))
+        N = np.arange(n, n + cols, dtype=float)
+        # row k - 1 of the window is k arrivals
+        self.pmf = _arrival_chances(N, self.stay[n:n + cols], rows + 1, self.Pe)[1:]
         self.lo = n
-        if not rows:
-            return
-        # entry [r, c] is k = rows - r arrivals in N = n + c; k < n + cols, and a
-        # k >= N leaves a term that no state reads
-        M, lf, step = self.M, self.log_fact, self.log_fact.itemsize
-        np.subtract(lf[M + n:M + n + cols], lf[M + 1:M + rows + 1][::-1, None], out=pmf)
-        # [r, c] of a skew view of v is v[r + c]: the lgamma and log1p terms of N - k
-        pmf -= np.ndarray((rows, cols), float, lf, (M + n - rows) * step, (step, step))
-        pmf += self.k_lp[1:rows + 1][::-1, None]
-        tail = np.arange(n - rows, n + cols - 1) * self.lq
-        pmf += np.ndarray((rows, cols), float, tail, 0, (step, step))
-        np.exp(pmf, out=pmf)
 
     def _grow(self, top):
         """Extend the tables by N to N < top."""
-        ns = range(self.progress.size, top)
+        ns = range(self.stay.size, top)
         if not ns:
             return
         N = np.arange(ns.start, top, dtype=float)
         # math.pow of N as a float is the libm call behind Python's own Pe**N, without
         # its int-to-float step
-        progress = 1.0 - np.fromiter(map(math.pow, repeat(self.Pe), N.tolist()), float, len(ns))
+        stay = np.fromiter(map(math.pow, repeat(self.Pe), N.tolist()), float, len(ns))
+        progress = 1.0 - stay
+        # below N = near, where Pe**N >= 0.5, 1 - Pe**N is the scalar routine's
+        near = int(np.count_nonzero(stay >= 0.5))
+        if near and self.Pe:
+            near_N, near_stay = N[:near].tolist(), stay[:near].tolist()
+            progress[:near] = [*map(_progress, repeat(self.Pe), near_N, near_stay)]
         rounds = (N * self.T_p + self.T_w) / ((1.0 - self.Pa) * progress)
         # the first block is the table itself: nothing to append to
+        self.stay = np.concatenate((self.stay, stay)) if ns.start else stay
         self.progress = np.concatenate((self.progress, progress)) if ns.start else progress
         self.rounds = np.concatenate((self.rounds, rounds)) if ns.start else rounds
-        if self.M > 1:
-            more = np.fromiter(_log_factorial_run(ns.start, top), float, len(ns))
-            self.log_fact = np.concatenate((self.log_fact, more))
 
 
 def _live_end(n, stop, best_t, Pa, T_p, T_w):
@@ -240,9 +230,10 @@ def optimal_policy(sys: SystemParams, timing: Timing) -> OptimalPolicyResult:
     `state_completion_time`.  A longer one is estimated at once from a
     table of the terms that the search's states share (`_Terms`), which
     holds at most 7 * 2**14 binomial terms; a range wider than that for its
-    state's rows is estimated in blocks.  An estimate sums its terms with
-    one matrix-vector product, in BLAS's order, so it is within about
-    i * 2**-53 relative of the scalar value.  Every candidate within 1e-10
+    state's rows is estimated in blocks.  An estimate builds its terms
+    from whole arrays and sums them with one matrix-vector product, in
+    BLAS's order, so it is within about 10 * i * 2**-53 relative of the
+    scalar value.  Every candidate within 1e-10
     relative of a block's minimum estimate is re-scored with the scalar
     routine, and the winner and its T_i come from those scalar values, so
     policies and profiles are exactly those of a scalar search.

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import Policy
+from .markov import Policy, _arrival_chances
 from .params import SystemParams, Timing, as_int
 from .rlnc import encode  # noqa: F401  (bench/tracing.py wraps tddnc.simulator.encode)
 
@@ -88,25 +88,15 @@ def _arrival_cdf(N, Pe: float, most: int) -> np.ndarray:
     Row s holds P(K <= k) for k < c, where K ~ Binomial(N[s], 1 - Pe) and
     c = min(N[s], most), and inf from c on, so an inverse-CDF draw never
     exceeds c: no run can use more than `most` arrivals, and the table
-    stays small for any burst size.
+    stays small for any burst size.  N is in ascending order.
 
-    The pmf is one cumulative sum of log(pmf[k+1] / pmf[k]) from
-    N[s] log(Pe), vectorised over the sizes; column k of either cumulative
-    sum reads only terms 0..k.
+    The pmf is the chain kernel's, `markov._arrival_chances`, for all sizes
+    at once, and each row its cumulative sum.
     """
-    N = np.asarray(N, dtype=np.float64)[:, None]
-    k = np.arange(most)
-    cdf = np.zeros((N.shape[0], most))   # Pe = 0: K = N[s], so P(K < c) = 0
-    if Pe != 0.0:
-        log_odds = math.log1p(-Pe) - math.log(Pe)   # finite for every Pe in (0, 1)
-        for lo in range(0, N.shape[0], 16):   # 16 rows at a time bound the temporaries
-            n, rows = N[lo : lo + 16], cdf[lo : lo + 16]
-            rows[:, :1] = n * math.log(Pe)
-            with np.errstate(divide="ignore"):   # log(0) = -inf: no terms past n
-                rows[:, 1:] = np.log(np.maximum(n - k[:-1], 0.0) / k[1:]) + log_odds
-            np.exp(np.cumsum(rows, axis=1, out=rows), out=rows)
-            np.cumsum(rows, axis=1, out=rows)
-    cdf[k >= N] = np.inf   # k < most, so this is k >= min(N, most)
+    N = np.asarray(N, dtype=np.float64)
+    pmf = _arrival_chances(N, Pe**N, most, Pe)
+    cdf = np.ascontiguousarray(np.cumsum(pmf, axis=0, out=pmf).T)
+    cdf[np.arange(most) >= N[:, None]] = np.inf   # k < most, so this is k >= min(N, most)
     return cdf
 
 

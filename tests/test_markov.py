@@ -1,16 +1,15 @@
+import decimal
 import math
-import sys
-import threading
-import types
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from chain_oracle import absorption_times, enumerated_transition, transition_matrix
-from tddnc import markov
 from tddnc.markov import (
     CompletionProfile,
     Policy,
+    _arrival_chances,
     expected_completion,
     expected_extra_receptions,
     fixed_window_completion,
@@ -19,6 +18,7 @@ from tddnc.markov import (
     state_completion_time,
     sw_mean_throughput,
 )
+from tddnc.optimizer import optimal_policy
 from tddnc.params import SystemParams, Timing, derive_timing
 
 SATELLITE = dict(M=10, n=10000, g=100, h=80, n_ack=100, R=1.5e6, T_rt=0.25)
@@ -104,29 +104,61 @@ def test_completion_matches_linear_solve():
             assert prof.T[i + 1] == pytest.approx(oracle[i], rel=1e-9)
 
 
-def _reference_step(i, N_i, T_lower, Pe, Pe_ack, T_p, T_w):
-    """The chain step with one binomial pmf per term, in `math` only and in
-    `_binom_pmf`'s operand order: lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
-    + k*log(p) + (n - k)*log1p(-p)."""
-    progress = 1.0 - Pe**N_i
-    t = (N_i * T_p + T_w) / ((1.0 - Pe_ack) * progress)
-    p, acc = 1.0 - Pe, 0.0
+def _exact_step(i, N_i, T_lower, Pe, Pe_ack, T_p, T_w):
+    """The chain step from the same inputs in 40-digit decimal arithmetic, with
+    math.comb's binomial coefficients: the reference the kernel is held to.
+    T_lower holds finite floats or Decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ctx.Emin, ctx.Emax = decimal.MIN_EMIN, decimal.MAX_EMAX
+        pe = Decimal(Pe)
+        progress = 1 - pe**N_i
+        t = (N_i * Decimal(T_p) + Decimal(T_w)) / ((1 - Decimal(Pe_ack)) * progress)
+        acc = sum(_exact_chance(i - j, N_i, pe) * Decimal(T_lower[j])
+                  for j in range(max(1, i - N_i), i))
+        return t + acc / progress
+
+
+def _exact_chance(k, N, pe):
+    """P[k of N packets arrive] for the Decimal erasure probability pe."""
+    return math.comb(N, k) * (1 - pe) ** k * (pe ** (N - k) if N > k else 1)
+
+
+def _nonfinite_step(i, N_i, T_lower, Pe):
+    """What the kernel gives where a lower time it reads is inf or NaN: NaN where a
+    NaN is read, or an inf with a chance of 0 (a success probability of 1 leaves
+    only k = N_i, and a chance below the least subnormal underflows); inf where
+    each inf read has a chance of at least 2**-1000; None (either) otherwise."""
+    seen = set()
     for j in range(max(1, i - N_i), i):
-        k = i - j
-        if p == 1.0:
-            pmf = 1.0 if k == N_i else 0.0
-        else:
-            log_comb = math.lgamma(N_i + 1) - math.lgamma(k + 1) - math.lgamma(N_i - k + 1)
-            pmf = math.exp(log_comb + k * math.log(p) + (N_i - k) * math.log1p(-p))
-        acc += pmf * T_lower[j]
-    return t + acc / progress
+        if math.isnan(T_lower[j]):
+            seen.add("nan")
+        elif math.isinf(T_lower[j]):
+            k = i - j
+            chance = (k == N_i) if 1.0 - Pe == 1.0 else _exact_chance(k, N_i, Decimal(Pe))
+            seen.add("inf" if chance >= Decimal(2) ** -1000 else
+                     "nan" if chance < Decimal(2) ** -1080 else None)
+    return math.nan if "nan" in seen else None if None in seen else math.inf
 
 
-def _same_float(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
+def _assert_step_within_1e_12(args):
+    got = state_completion_time(*args)
+    i, N_i, T_lower, Pe = args[:4]
+    if all(map(math.isfinite, T_lower[max(1, i - N_i):i])):
+        want = _exact_step(*args)
+        assert abs(Decimal(got) - want) <= Decimal("1e-12") * want, args
+        return
+    want = _nonfinite_step(i, N_i, T_lower, Pe)
+    if want is None:
+        assert not math.isfinite(got), args
+    else:
+        assert got == want or math.isnan(got) and math.isnan(want), args
 
 
-def test_state_completion_time_is_bit_identical_to_per_term_pmf():
+def test_state_completion_time_is_within_1e_12_of_exact_terms():
+    # Pe = 0 and 1e-17 (a success probability of 1) and 1 - 1e-12, bursts below
+    # and above i up to 2**53, and inf or NaN lower times, which propagate: a NaN
+    # read with a zero chance still gives NaN
     rng = np.random.default_rng(11)
     edges = [0.0, 1e-17, 1.0 - 1e-12]
     for k in range(3000):
@@ -137,62 +169,62 @@ def test_state_completion_time_is_bit_identical_to_per_term_pmf():
         T = [0.0] + [float(v) for v in rng.uniform(0.0, 100.0, size=i - 1)]
         if i > 1 and k % 4 == 0:
             T[int(rng.integers(1, i))] = float(rng.choice([math.inf, math.nan]))
-        args = (i, n_i, T, pe, float(rng.uniform(0.0, 0.5)), float(rng.uniform(1e-6, 1.0)),
-                float(rng.uniform(0.0, 100.0)))
-        got, want = state_completion_time(*args), _reference_step(*args)
-        assert _same_float(got, want), args
-    # both sides of the cap of the shared log-factorial table, past which lgamma is called
-    cap = markov._LOG_FACT_CAP
-    for n_i in (cap - 1, cap, cap + 1, 3 * cap, 2**40, 2**53):
+        _assert_step_within_1e_12((i, n_i, T, pe, float(rng.uniform(0.0, 0.5)),
+                                   float(rng.uniform(1e-6, 1.0)), float(rng.uniform(0.0, 100.0))))
+    for n_i in (10**5, 2**40, 2**53 - 1, 2**53):
         for pe in (1e-9, 0.3, 0.97, 1.0 - 1e-12):
             T = [0.0] + [float(v) for v in rng.uniform(0.0, 100.0, size=39)]
-            args = (40, n_i, T, pe, 0.1, 1e-3, 0.5)
-            assert _same_float(state_completion_time(*args), _reference_step(*args)), args
+            _assert_step_within_1e_12((40, n_i, T, pe, 0.1, 1e-3, 0.5))
 
 
-def test_log_factorial_table_holds_lgammas_own_values():
-    lf = markov._log_factorials(5000)
-    assert 5000 <= len(lf) <= markov._LOG_FACT_CAP
-    assert all(v == math.lgamma(n + 1) for n, v in enumerate(lf))
-    run = markov._log_factorial_run(markov._LOG_FACT_CAP - 3, markov._LOG_FACT_CAP + 3)
-    assert list(run) == [math.lgamma(n + 1) for n in range(markov._LOG_FACT_CAP - 3,
-                                                          markov._LOG_FACT_CAP + 3)]
-    assert len(markov._LOG_FACT) == markov._LOG_FACT_CAP
+@pytest.mark.parametrize("pe", [0.3, 0.9, 0.999, 0.99999, 1 - 1e-9])
+def test_state_completion_time_meets_1e_12_at_large_bursts(pe):
+    # a term's error grows with k, not with N: bursts up to 10**5, and near Pe = 1
+    # a 1 - Pe**N that would cancel
+    for i in (1, 2, 12, 40):
+        T = [0.0] + [j * (1.0 + 0.37 * math.sin(j)) for j in range(1, i)]
+        for n_i in sorted({1, max(1, i - 1), i, 2 * i, 1000, 10**4, 3 * 10**4, 10**5}):
+            _assert_step_within_1e_12((i, n_i, T, pe, 0.05, 1e-3, 0.4))
 
 
-def test_huge_bursts_leave_the_table_within_its_cap():
+@pytest.mark.parametrize("M, pe, T_w", [(12, 0.999, 10.0), (4, 0.9999, 30.0), (30, 0.9995, 5.0)])
+def test_optimal_profiles_meet_1e_12_with_bursts_in_the_10_4s(M, pe, T_w):
+    sys = _sys(M=M, Pe=pe, Pe_ack=0.1)
+    t = Timing(T_p=1e-3, T_ack=0.0, T_w=T_w)
+    res = optimal_policy(sys, t)
+    assert max(res.policy.N) >= 10**4
+    exact = [Decimal(0)]
+    for i, n_i in enumerate(res.policy.N, 1):
+        exact.append(_exact_step(i, n_i, exact, pe, 0.1, t.T_p, t.T_w))
+    for got, want in zip(res.profile.T[1:], exact[1:]):
+        assert abs(Decimal(got) - want) <= Decimal("1e-12") * want
+
+
+@pytest.mark.parametrize("pe", [0.5, 0.3])
+@pytest.mark.parametrize("sizes", [range(900, 1300), (400, 800, 1200)], ids=["wide", "narrow"])
+def test_arrival_chances_equal_exact_binomial_terms(pe, sizes):
+    # A wide table (a window of the search) runs its products a row at a time, a
+    # narrow one (an arrival table of the simulator) down its columns; both hold
+    # columns whose Pe**N starts below the least normal float.  Each exact term is
+    # comb(N, k) B**k A**(N - k) over D**N, with Pe = A/D and D a power of 2.
+    N = np.array(sizes, dtype=float)
+    got = _arrival_chances(N, pe**N, 200, pe)
+    A, D = pe.as_integer_ratio()
+    for c in range(0, N.size, 37):
+        n = int(N[c])
+        term, exact = A**n, []
+        for k in range(200):
+            if k:   # exactly: the last term times (n - k + 1) B / (k A)
+                term = term * (n - k + 1) * (D - A) // (k * A)
+            drop = max(term.bit_length() - 64, 0)
+            exact.append(math.ldexp(float(term >> drop), drop - (D.bit_length() - 1) * n))
+        np.testing.assert_allclose(got[:, c], exact, rtol=1e-12, atol=np.finfo(float).tiny)
+
+
+def test_huge_bursts_give_a_finite_profile():
     t = Timing(T_p=1e-9, T_ack=0.0, T_w=1.0)
-    profile = expected_completion(Policy((2**40,) * 3), _sys(M=3, Pe=0.5), t)
-    assert profile.finite
-    assert len(markov._LOG_FACT) <= markov._LOG_FACT_CAP
-
-
-def test_log_factorial_table_grows_consistently_from_many_threads(monkeypatch):
-    # lgamma as Python code lets a thread switch fall inside a growth step
-    monkeypatch.setattr(markov, "math", types.SimpleNamespace(lgamma=lambda x: math.lgamma(x)))
-    tops = range(1, 4001, 50)
-    want = [math.lgamma(n + 1) for n in range(max(tops))]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            monkeypatch.setattr(markov, "_LOG_FACT", [])
-            start = threading.Barrier(4)
-
-            def grow(k):
-                start.wait(timeout=30)
-                for top in tops[k::4]:
-                    markov._log_factorials(top)
-
-            workers = [threading.Thread(target=grow, args=(k,)) for k in range(4)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=30)
-            assert not any(w.is_alive() for w in workers)
-            assert markov._LOG_FACT == want
-    finally:
-        sys.setswitchinterval(old)
+    for pe in (1e-9, 0.5, 1.0 - 1e-12):
+        assert expected_completion(Policy((2**40,) * 3), _sys(M=3, Pe=pe), t).finite
 
 
 def test_completion_monotone_in_ack_loss():

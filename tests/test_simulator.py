@@ -1,5 +1,6 @@
 import bisect
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -360,6 +361,33 @@ def test_arrival_table_equals_scipy_binomial(N, Pe, most):
         ref = np.cumsum(binom.pmf(np.arange(c), n, 1 - Pe))
         # subnormal terms carry fewer than 53 bits, so they get an absolute floor
         np.testing.assert_allclose(row[:c], ref, rtol=1e-12, atol=np.finfo(float).tiny)
+
+
+def _exact_cdf(N, Pe, c):
+    """P(K <= k) for k < c, K ~ Binomial(N, 1 - Pe), each rounded to a float once
+    from the integer sum of comb(N, k) * B**k * A**(N - k) over D**N, where
+    Pe = A/D exactly and D is a power of 2."""
+    A, D = Pe.as_integer_ratio()
+    B, shift = D - A, (D.bit_length() - 1) * N
+    term, acc, cdf = A**N, 0, []
+    for k in range(c):
+        if k:   # comb(N, k) B**k A**(N - k), exactly
+            term = term * (N - k + 1) * B // (k * A)
+        acc += term
+        drop = max(acc.bit_length() - 64, 0)
+        cdf.append(math.ldexp(float(acc >> drop), drop - shift))
+    return cdf
+
+
+@pytest.mark.parametrize("Pe", [0.01, 0.1, 0.3, 0.5, 0.9, 0.99])
+def test_arrival_table_equals_the_exact_binomial_cdf(Pe):
+    # bursts of 400-1100 packets, whose pmf starts below the least normal float
+    # at Pe <= 0.5
+    N = (400, 575, 750, 925, 1100)
+    cdf = _arrival_cdf(N, Pe, 1100)
+    for row, n in zip(cdf, N):
+        np.testing.assert_allclose(row[:n], _exact_cdf(n, Pe, n), rtol=1e-12,
+                                   atol=np.finfo(float).tiny)
 
 
 @pytest.mark.parametrize("g", [1, 2])
