@@ -6,18 +6,18 @@ cell, before any computation starts.  Output is byte-deterministic for a
 given config: fixed column order, fixed float formatting, declared grid
 order.  The columns all rows of one parameter point share (the link, `Pe_bit`,
 the simulation setup) are formatted once; each row adds its own.  Sweep cells
-are computed one after another, in one thread.  The argument parser is
-built once per process, so repeated in-process `main` calls only parse.
+are computed one after another, in one thread.  The five flags are read by
+one loop over their table, as argparse read them (see `_args`).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
 import operator
 import os
+import re
 import sys as _sys
 from dataclasses import replace
 from functools import cache, partial
@@ -366,31 +366,122 @@ def render_json(command: str, rows: list[dict]) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: `parse_args` leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="tddnc",
-        description="Delay-optimal network coding for TDD erasure links: "
-                    "policies, scheme sweeps, and Monte-Carlo simulation.",
-    )
-    parser.add_argument("--config", required=True, help="JSON run specification")
-    parser.add_argument("--out", help="output path (stdout when omitted)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int,
-                        help="override a simulate config's master_seed; other commands take no seed")
-    parser.add_argument("--threads", type=int,
-                        help="accepted and ignored: sweep cells and simulation runs are serial")
-    return parser
+_USAGE = """usage: tddnc [-h] --config CONFIG [--out OUT] [--format {csv,json}]
+             [--seed SEED] [--threads THREADS]
+"""
+_HELP = _USAGE + """
+Delay-optimal network coding for TDD erasure links: policies, scheme sweeps,
+and Monte-Carlo simulation.
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      JSON run specification
+  --out OUT            output path (stdout when omitted)
+  --format {csv,json}
+  --seed SEED          override a simulate config's master_seed; other
+                       commands take no seed
+  --threads THREADS    accepted and ignored: sweep cells and simulation runs
+                       are serial
+"""
+
+
+def _format(value):
+    if value not in ("csv", "json"):
+        raise ValueError(f"invalid choice: {value!r} (choose from 'csv', 'json')")
+    return value
+
+
+def _int(value):
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"invalid int value: {value!r}") from None
+
+
+# flag -> how its value is read; --help takes none.  Every flag but --help takes
+# one value, as `--flag value` or `--flag=value`, and any unique prefix names it
+_FLAGS = {"--help": None, "--config": str, "--out": str, "--format": _format, "--seed": _int,
+          "--threads": _int}
+_DEFAULTS = {"config": None, "out": None, "format": "csv", "seed": None, "threads": None}
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")   # a value, though it starts with "-"
+
+
+def _usage_error(message):
+    _sys.stderr.write(f"{_USAGE}tddnc: error: {message}\n")
+    raise SystemExit(EXIT_INVALID)
+
+
+def _option(arg):
+    """`arg` as argparse classed it: None for a value, else (flag, explicit value
+    or None), with flag None for an unknown option."""
+    if arg in _FLAGS:
+        return arg, None
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    if arg[1] == "-":
+        flags = [flag for flag in _FLAGS if flag.startswith(name)]
+        if len(flags) > 1:
+            _usage_error(f"ambiguous option: {arg} could match {', '.join(flags)}")
+        if flags:
+            return flags[0], value if eq else None
+    elif arg.startswith("-h"):
+        if arg == "-h":
+            return "--help", None
+        # what follows -h, or -h=, is read as more one-letter flags, of which only h exists
+        rest = value if name == "-h" else arg[2:]
+        return "--help", (rest.lstrip("h") or None) if rest else ""
+    if _NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _args(argv) -> dict:
+    """The flags of `argv` by name, as argparse read them.
+
+    The last of a repeated flag wins.  A value may not look like an option
+    (a negative number does not), and no value follows "--".  `-h`/`--help`
+    prints _HELP and exits 0 where it stands; a usage error prints _USAGE and
+    the error to stderr and exits 2.  Arguments that no flag takes are an
+    error once every flag has been read, after a missing --config.
+    """
+    cut = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(arg) for arg in argv[:cut]]
+    args, extras, k = dict(_DEFAULTS), [], 0
+    while k < cut:
+        kind = kinds[k]
+        k += 1
+        if kind is None or kind[0] is None:
+            extras.append(argv[k - 1])
+            continue
+        flag, value = kind
+        if flag == "--help":
+            if value is not None:
+                _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
+            _sys.stdout.write(_HELP)
+            raise SystemExit(EXIT_OK)
+        if value is None:
+            if k == cut or kinds[k] is not None:
+                _usage_error(f"argument {flag}: expected one argument")
+            value, k = argv[k], k + 1
+        try:
+            args[flag[2:]] = _FLAGS[flag](value)
+        except ValueError as bad:
+            _usage_error(f"argument {flag}: {bad}")
+    if args["config"] is None:
+        _usage_error("the following arguments are required: --config")
+    if extras or cut < len(argv):
+        _usage_error(f"unrecognized arguments: {' '.join(extras + argv[cut:])}")
+    return args
 
 
 def _write_out(path: str, text: str) -> None:
-    """Write `text` to `path`; a failed write removes the regular file it opened."""
+    """Write `text` to `path` as UTF-8; a failed write removes the regular file it opened."""
     fh = None
     try:
-        fh = open(path, "w", encoding="utf-8", newline="")
+        fh = open(path, "wb")
         with fh:
-            fh.write(text)
+            fh.write(text.encode())
     except OSError as bad:
         if fh is not None and os.path.isfile(path):
             with contextlib.suppress(OSError):
@@ -399,26 +490,29 @@ def _write_out(path: str, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-
+    args = _args(_sys.argv[1:] if argv is None else list(argv))
     try:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
+            with open(args["config"], "rb") as fh:
+                source = fh.read().decode("utf-8")
+            if "\r" in source:   # the line ends of a text-mode read, which JSON errors count
+                source = source.replace("\r\n", "\n").replace("\r", "\n")
+            spec = json.loads(source)
         except OSError as bad:
             raise SpecError(f"cannot read config: {bad}") from None
-        except (ValueError, RecursionError) as bad:  # also too many digits or too deep
+        except (ValueError, RecursionError) as bad:  # also not UTF-8, too many digits or too deep
             raise SpecError(f"config is not valid JSON: {bad}") from None
-        if args.seed is not None:
-            if args.seed < 0:
+        seed = args["seed"]
+        if seed is not None:
+            if seed < 0:
                 raise SpecError("--seed must be non-negative")
             if isinstance(spec, dict) and spec.get("command") == "simulate":
-                spec["master_seed"] = args.seed
+                spec["master_seed"] = seed
         rows = run_spec(spec)
-        text = render_csv(rows) if args.format == "csv" else render_json(spec["command"], rows)
+        text = render_csv(rows) if args["format"] == "csv" else render_json(spec["command"], rows)
         # the full output is rendered before anything is opened: no partial files
-        if args.out:
-            _write_out(args.out, text)
+        if args["out"]:
+            _write_out(args["out"], text)
         else:
             _sys.stdout.write(text)
     except SpecError as err:

@@ -22,6 +22,13 @@ from .params import SystemParams, Timing, as_int, derive_timing
 _TABLE_ENTRIES = 7 << 14
 _RESCORE_REL = 1e-10
 _SCAN_TERMS = 32  # an estimate costs about as much as this many scalar binomial terms
+# A search's first estimate also pays for the table: its tables by N, numpy's error
+# state and the window's first fill, about _TABLE_SETUP units of about 0.12 us (a
+# scalar call at state i costs about 4 + i units), and every later state one estimate
+# of about _ESTIMATE_COST units.  A search whose states 2..M cost less than that with
+# the scalar routine alone scores them all that way (see `_search`)
+_TABLE_SETUP = 1500
+_ESTIMATE_COST = 60
 # The searches of a process without numpy score their ranges with the scalar
 # routine up to this many binomial terms in all before one imports numpy: about
 # 7 ms against about 100 ms for the import on a 2-vCPU VM.  That covers the
@@ -36,7 +43,8 @@ class SearchCounts(NamedTuple):
     """Candidates N of one state's search, by how they were scored.
 
     scanned    scored by the scalar routine without an estimate: the seed, the
-               candidates of a range too short to estimate or scored within a
+               candidates of a range too short to estimate, of a search whose
+               states 2..M are cheaper without a table, or scored within a
                process's numpy-free budget, and the tie check past the range
     estimated  estimated from the search's table of terms
     rescored   estimates re-scored by the scalar routine
@@ -238,13 +246,23 @@ def optimal_policy(sys: SystemParams, timing: Timing) -> OptimalPolicyResult:
     routine, and the winner and its T_i come from those scalar values, so
     policies and profiles are exactly those of a scalar search.
 
+    The table costs more to set up than a short search saves, so a search
+    decides once, after state 1, how it scores states 2..M.  If state 1
+    made no estimate, its live range [1, end) predicts the rest: state j's
+    range is taken as j times as wide, and a scalar call from state j as
+    costing 4 + j units of about 0.12 us.  Where (end - 1) * sum j(4 + j)
+    over j = 2..M is at most 1500 + 60 (M - 1) units, the table's set-up
+    and one estimate per state, every later range is scored with the
+    scalar routine; otherwise each range is scored as above.
+
     A process that has not imported numpy runs its searches without it for
     as long as it can: until the ranges its searches have scored with the
     scalar routine would pass 2**15 binomial terms in all, about the cost
     of importing numpy, it scores every range that way.  The first range
     past that imports numpy and is estimated, and so is every later one as
     above.  A process that holds numpy already estimates from the start.
-    The seed, the 32, the 2**15 and the table's size set only the speed.
+    The seed, the 32, the 1500 and 60, the 2**15 and the table's size set
+    only the speed.
     """
     global _scalar_left
     budget = 0 if "numpy" in _sys.modules else _scalar_left
@@ -256,11 +274,14 @@ def optimal_policy(sys: SystemParams, timing: Timing) -> OptimalPolicyResult:
 
 def _search(M, Pe, Pa, T_p, T_w, budget) -> tuple[OptimalPolicyResult, int]:
     """The search of `optimal_policy` and the binomial terms of the ranges it
-    scored with the scalar routine.  Ranges are scored that way while their
-    terms stay within `budget` and no estimate has been made; the first
-    estimate enters numpy's error state for the rest of the search."""
+    scored with the scalar routine.  Ranges are scored that way while they
+    are short, while their terms stay within `budget` and no estimate has
+    been made, or throughout states 2..M where state 1 predicts that to be
+    cheaper than the table; the first estimate enters numpy's error state
+    for the rest of the search."""
     terms = None   # built at the first estimate
     spent = 0      # binomial terms of the ranges scored with the scalar routine
+    scalar_only = False   # whether states 2..M score every range with the scalar routine
     T: list[float] = [0.0]
     sizes = [0]
     bounds: list[int] = []
@@ -279,7 +300,8 @@ def _search(M, Pe, Pa, T_p, T_w, budget) -> tuple[OptimalPolicyResult, int]:
             while True:
                 end = _live_end(n, n + widest, best_t, Pa, T_p, T_w)
                 cost = (end - n) * i
-                scalar = cost - i <= _SCAN_TERMS or (terms is None and spent + cost <= budget)
+                scalar = (scalar_only or cost - i <= _SCAN_TERMS
+                          or (terms is None and spent + cost <= budget))
                 if scalar:
                     spent += cost
                     scored = [m for m in range(n, end) if m != seed]
@@ -312,6 +334,11 @@ def _search(M, Pe, Pa, T_p, T_w, budget) -> tuple[OptimalPolicyResult, int]:
                 if state_completion_time(i, m, T, Pe, Pa, T_p, T_w) == best_t:
                     best_n = m
                     break
+            if i == 1 and terms is None:
+                # state j's range is about j times state 1's [1, end), as `_Terms._refill`
+                # takes it, so states 2..M cost about (end - 1) * sum j(4 + j) units
+                price = M * (M + 1) * (2 * M + 1) // 6 + 2 * M * (M + 1) - 5
+                scalar_only = (end - 1) * price <= _TABLE_SETUP + _ESTIMATE_COST * (M - 1)
             sizes.append(best_n)
             bounds.append(_live_end(best_n + 1, end, best_t, Pa, T_p, T_w))
             counts.append(SearchCounts(scanned, estimated, rescored))

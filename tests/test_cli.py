@@ -298,7 +298,92 @@ def test_reused_parser_carries_no_flag_between_calls(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(["--config", cfg]) == 0
     assert capsys.readouterr() == first
-    assert cli._parser() is cli._parser()
+
+
+# the parser's texts and results, as argparse gave them for the same flags at 80 columns
+USAGE = ("usage: tddnc [-h] --config CONFIG [--out OUT] [--format {csv,json}]\n"
+         "             [--seed SEED] [--threads THREADS]\n")
+HELP = USAGE + """
+Delay-optimal network coding for TDD erasure links: policies, scheme sweeps,
+and Monte-Carlo simulation.
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      JSON run specification
+  --out OUT            output path (stdout when omitted)
+  --format {csv,json}
+  --seed SEED          override a simulate config's master_seed; other
+                       commands take no seed
+  --threads THREADS    accepted and ignored: sweep cells and simulation runs
+                       are serial
+"""
+FLAGS = {"config": None, "out": None, "format": "csv", "seed": None, "threads": None}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--config=p"], {"config": "p"}),
+    (["--conf", "p"], {"config": "p"}),
+    (["--config", "a", "--format", "json", "--config", "b", "--format=csv"], {"config": "b"}),
+    (["--config", "p", "--seed", "-1"], {"config": "p", "seed": -1}),
+    (["--c", "p", "--seed=5", "--th", " 3 ", "--o", "-x y", "--fo", "json"],
+     {"config": "p", "seed": 5, "threads": 3, "out": "-x y", "format": "json"}),
+    (["--config", "-1", "--out=", "--seed", "1_0"], {"config": "-1", "out": "", "seed": 10}),
+    (["--config", "p", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["--config", "p", "--threads", "2.5"], "argument --threads: invalid int value: '2.5'"),
+    (["--config", "p", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    (["--config", "p", "--out"], "argument --out: expected one argument"),
+    (["--config", "--out", "o"], "argument --config: expected one argument"),
+    (["--config", "p", "--seed", "-x"], "argument --seed: expected one argument"),
+    (["--config", "p", "--bogus", "x"], "unrecognized arguments: --bogus x"),
+    (["--config", "p", "--", "x"], "unrecognized arguments: -- x"),
+    (["--format", "json"], "the following arguments are required: --config"),
+    (["--bogus", "-c", "p"], "the following arguments are required: --config"),
+    (["--config", "p", "--=x"],
+     "ambiguous option: --=x could match --help, --config, --out, --format, --seed, --threads"),
+    (["--seed", "x", "--help"], "argument --seed: invalid int value: 'x'"),
+    (["--config", "p", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["--help="], "argument -h/--help: ignored explicit argument ''"),
+    (["-h"], None),
+    (["--help"], None),
+    (["--he", "--format", "xml"], None),
+    (["-hh", "--bogus"], None),
+])
+def test_flags_read_as_argparse_read_them(capsys, argv, want):
+    # a dict is the flags read, a string the usage error (exit 2), None the help (exit 0)
+    if isinstance(want, dict):
+        assert cli._args(argv) == {**FLAGS, **want}
+        assert capsys.readouterr() == ("", "")
+        return
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    out, err = capsys.readouterr()
+    if want is None:
+        assert (exited.value.code, out, err) == (0, HELP, "")
+    else:
+        assert (exited.value.code, out, err) == (2, "", f"{USAGE}tddnc: error: {want}\n")
+
+
+def test_a_spec_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # json.loads of bytes would take UTF-16 text; the spec is read as UTF-8 only
+    text = json.dumps({"schema_version": 1, "command": "policy", "params": SATELLITE_PARAMS})
+    for k, data in enumerate((text.encode("utf-16"), b"\xff" + text.encode())):
+        cfg, out = tmp_path / f"spec{k}.json", tmp_path / f"out{k}.csv"
+        cfg.write_bytes(data)
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-spec"
+        assert err["message"].startswith("config is not valid JSON: 'utf-8' codec can't decode")
+
+
+def test_line_ends_count_in_json_errors_as_in_a_text_read(tmp_path, capsys):
+    # JSON errors name a character offset; CR LF and CR count as one newline each
+    cfg = tmp_path / "spec.json"
+    cfg.write_bytes(b'{\r\n"a":\r 1,\r\n}')
+    assert main(["--config", str(cfg)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.endswith("line 4 column 1 (char 11)"), message
 
 
 def test_seed_flag_on_specs_without_a_seed(tmp_path):

@@ -25,10 +25,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _fresh(code: str, *args: str):
     """The JSON that `code` prints last, run in a new interpreter with `args`;
-    `code` starts after `import json, sys, tddnc.cli` and a check that no numpy
-    was imported."""
+    `code` starts after `import json, sys, tddnc.cli` and a check that neither
+    numpy nor argparse was imported."""
     prelude = ("import json, sys, tddnc.cli\n"
-               "assert 'numpy' not in sys.modules, 'importing tddnc.cli imported numpy'\n")
+               "assert 'numpy' not in sys.modules, 'importing tddnc.cli imported numpy'\n"
+               "assert 'argparse' not in sys.modules, 'importing tddnc.cli imported argparse'\n")
     out = subprocess.run([sys.executable, "-s", "-c", prelude + code, *args], check=True,
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     return json.loads(out.stdout.splitlines()[-1])

@@ -253,15 +253,34 @@ def test_range_wider_than_the_table_equals_bounded_scalar_search():
 
 
 def test_estimates_past_an_infinite_lower_time_equal_bounded_scalar_search():
-    # T_2 overflows, so every term of states 3 and 4 that reads it is infinite
+    # T_2 overflows, so every term of states 3 to 8 that reads it is infinite; at
+    # M = 8 the search is long enough to estimate from the table
     t = Timing(T_p=1e307, T_ack=0.0, T_w=0.0)
-    res = optimal_policy(_sys(M=4, Pe=0.9), t)
+    res = optimal_policy(_sys(M=8, Pe=0.9), t)
     assert res.profile.T[2] == math.inf
     assert res.search_counts[2].estimated > 0 and res.search_counts[3].estimated > 0
-    N, T = _bounded_scalar_search(4, 0.9, 0.0, t.T_p, t.T_w)
+    N, T = _bounded_scalar_search(8, 0.9, 0.0, t.T_p, t.T_w)
     assert res.policy.N == N
     assert res.profile.T == T
     _assert_first_excluded(res, 0.0, t)
+
+
+@pytest.mark.parametrize("M, pe, ratio, estimates", [(8, 0.45, 30.0, False),
+                                                     (16, 0.88, 300.0, True)])
+def test_state_1_picks_the_scorer_of_the_later_states(monkeypatch, M, pe, ratio, estimates):
+    # state 1's live range predicts the cost of states 2..M: the short search is
+    # scored by the scalar routine throughout, the long one estimates from the table;
+    # a table that cost nothing to set up would be used by both, with the same result
+    t = Timing(T_p=1e-3, T_ack=0.0, T_w=ratio * 1e-3)
+    N, T = _bounded_scalar_search(M, pe, 0.01, t.T_p, t.T_w)
+    for setup in (optimizer._TABLE_SETUP, -10**9):
+        monkeypatch.setattr(optimizer, "_TABLE_SETUP", setup)
+        res = optimal_policy(_sys(M=M, Pe=pe, Pe_ack=0.01), t)
+        estimated = [c.estimated for c in res.search_counts]
+        assert (estimated == [0] * M) is (not estimates and setup > 0), estimated
+        assert res.policy.N == N
+        assert res.profile.T == T
+        _assert_first_excluded(res, 0.01, t)
 
 
 @pytest.mark.parametrize("pe", [0.3, 0.9, 0.999, 1 - 1e-6])
